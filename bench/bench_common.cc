@@ -178,7 +178,7 @@ void RegisterFigure(const std::string& figure, const std::string& query,
         [query, engine](benchmark::State& state) {
           const xml::Tree& tree = HospitalDoc(static_cast<int>(state.range(0)));
           // Warm the per-document caches (index construction is a one-time
-          // cost, reported separately in EXPERIMENTS.md).
+          // cost per document and stays out of the timed loop).
           hype::EvalStats stats;
           int64_t answers = RunEngineOnce(engine, query, tree, &stats);
           for (auto _ : state) {

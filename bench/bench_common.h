@@ -1,6 +1,6 @@
 // Shared infrastructure for the SMOQE benchmark suite (Section 7 of the
-// paper). Each bench binary regenerates one figure/table; see EXPERIMENTS.md
-// for the mapping and for paper-vs-measured results.
+// paper). Each bench binary regenerates one figure/table; see "Paper
+// experiments" in BUILDING.md for the mapping and the substitutes.
 //
 // Documents are hospital datasets (ToXGene substitute) in ten size
 // increments, mirroring the paper's 7MB..70MB series. The base increment is

@@ -2,6 +2,9 @@
 // batched shared-pass evaluator (BatchHypeEvaluator), at batch sizes
 // 1/4/16/64, with and without the subtree-label index, plus the compilation
 // amortization of the RewriteCache (cold parse+rewrite vs cache hit).
+// "Per query" means N solo HypeEvaluators, each a batch of one: both modes
+// run the same joint driver, so the ratio isolates what sharing one walk
+// across the batch buys.
 //
 // Two modes:
 //  * default: google-benchmark binary (Throughput/* and Rewrite/* families);

@@ -17,9 +17,9 @@
 //                 latches a terminal Status and cancels the shared token so
 //                 sibling gates observe the failure at their next refresh.
 //
-// Aborting a traversal through the gate leaves engines reusable: drivers
-// unwind their explicit stacks normally and the next PrepareRoot/Start
-// resets all per-run state.
+// Aborting a traversal through the gate leaves engines reusable: the driver
+// abandons its explicit stack and the next PrepareRoot resets all per-run
+// state.
 
 #ifndef SMOQE_COMMON_CANCELLATION_H_
 #define SMOQE_COMMON_CANCELLATION_H_

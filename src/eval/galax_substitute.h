@@ -1,6 +1,7 @@
 // "GALAX substitute": evaluates regular XPath the way an XQuery engine runs
 // the standard translation of Xreg into recursive XQuery functions (the
-// comparison SMOQE's Section 7 ran against GALAX; see DESIGN.md).
+// comparison SMOQE's Section 7 ran against GALAX; see "Paper experiments"
+// in BUILDING.md).
 //
 // The translation turns Q* into a recursive function F(S) = S union
 // F(body(S)) evaluated over fully materialized sequences: every round

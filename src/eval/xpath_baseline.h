@@ -1,6 +1,6 @@
 // "JAXP substitute": a conventional interpretive XPath engine, standing in
-// for JAXP RI (Xerces + Xalan) in the Fig. 8 experiments (see DESIGN.md,
-// substitutions).
+// for JAXP RI (Xerces + Xalan) in the Fig. 8 experiments (see "Paper
+// experiments" in BUILDING.md for the substitutions).
 //
 // It evaluates queries of the XPath fragment X the way interpretive engines
 // do: one step at a time over materialized context lists (sorted and

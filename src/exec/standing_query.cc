@@ -61,10 +61,8 @@ NodeId AnchorOnOldTree(const Tree& old_tree, const xml::DeltaOp& op) {
 }  // namespace
 
 StandingQueryEvaluator::StandingQueryEvaluator(
-    xml::PlaneEpoch base, std::vector<const automata::Mfa*> mfas,
-    StandingQueryOptions options)
+    xml::PlaneEpoch base, std::vector<const automata::Mfa*> mfas)
     : mfas_(std::move(mfas)),
-      options_(options),
       binding_(base),
       epoch_(std::move(base)) {
   store_ = std::make_unique<hype::TransitionPlaneStore>(*binding_.tree,
@@ -87,7 +85,6 @@ bool StandingQueryEvaluator::FullEval(
   hype::BatchHypeOptions batch_options;
   batch_options.plane = epoch.plane.get();
   batch_options.plane_store = store_.get();
-  batch_options.enable_jump = options_.enable_jump;
   hype::BatchHypeEvaluator eval(*epoch.tree, std::move(subset),
                                 batch_options);
   std::vector<std::vector<NodeId>> results =
@@ -183,7 +180,6 @@ Status StandingQueryEvaluator::Advance(const xml::PlaneEpoch& next,
   for (uint32_t q = 0; q < mfas_.size(); ++q) {
     hype::HypeOptions probe_options;
     probe_options.transition_plane = store_->For(mfas_[q]);
-    probe_options.enable_jump = options_.enable_jump;
     hype::HypeEngine probe(new_tree, *mfas_[q], probe_options);
     int32_t config = probe.PrepareRoot(new_tree.root());
     bool dead = config < 0;
@@ -224,7 +220,6 @@ Status StandingQueryEvaluator::Advance(const xml::PlaneEpoch& next,
     hype::BatchHypeOptions batch_options;
     batch_options.plane = next.plane.get();
     batch_options.plane_store = store_.get();
-    batch_options.enable_jump = options_.enable_jump;
     hype::BatchHypeEvaluator eval(new_tree, std::move(subset), batch_options);
     std::vector<std::vector<NodeId>> inside =
         eval.EvalSubtree(new_tree.root(), region, gp);

@@ -89,7 +89,12 @@ class Generator {
     for (int v = 0; v < visits; ++v) AddVisit(patient);
     if (ancestor_budget > 0 && Flip(p_.parent_prob)) {
       xml::NodeId par = tree_.AddElement(patient, "parent");
-      AddPatient(par, serial * 101 + 1, ancestor_budget - 1,
+      // Serials grow 101x per generation and leave int range from about
+      // 2200 patients on: multiply in unsigned (wrapping mod 2^32, no
+      // signed overflow) and convert back.
+      const int ancestor_serial =
+          static_cast<int>(static_cast<unsigned>(serial) * 101u + 1u);
+      AddPatient(par, ancestor_serial, ancestor_budget - 1,
                  /*allow_sibling=*/false);
     }
     if (allow_sibling && Flip(p_.sibling_prob)) {

@@ -1,11 +1,13 @@
 // Batched multi-query HyPE: evaluate N MFAs over one tree in a SINGLE shared
-// depth-first pass.
+// depth-first pass -- the one HyPE traversal driver.
 //
 // A view server answering many queries against the same materialized view
 // pays one full HyPE pass per query; the traversal (node decoding, child
 // iteration, subtree-label-index lookups) is repeated N times even though it
 // is query-independent. BatchHypeEvaluator keeps one HypeEngine per query
-// and walks the tree once for all of them.
+// and walks the tree once for all of them. Every evaluation path runs this
+// walk: solo HypeEvaluator (hype.h) is a batch of one, and the sharded,
+// standing-query and service paths (src/exec/) hold batch evaluators.
 //
 // The sharing goes beyond the walk: the driver interns the TUPLE of
 // per-engine configurations occupied at a node -- a joint state -- and
@@ -47,13 +49,16 @@
 // ancestor replay is needed at all -- frameless engines keep no frames to
 // reconstruct. Skipped positions are accounted to the state's `jumped`
 // counter and folded into the members' visit statistics exactly like
-// `visits`, keeping per-engine statistics bit-identical to solo runs (the
-// randomized suite in tests/doc_plane_test.cc pins jump ≡ full-DFS ≡ solo).
+// `visits`, keeping per-engine statistics bit-identical to the full DFS (the
+// randomized suite in tests/doc_plane_test.cc pins jump ≡ full-DFS).
 //
-// Per-query answers and statistics are identical to running HypeEvaluator
-// separately by construction; the randomized equivalence suite
-// (tests/batch_hype_test.cc) enforces this across batch sizes and index
-// modes.
+// Per-query answers and traversal statistics (visits, cans sizes, AFA
+// requests) do not depend on the batch an engine runs in: they equal those
+// of a batch of one -- a solo HypeEvaluator -- whose visit count is exactly
+// its pass's nodes_walked + positions_jumped. The randomized suites
+// (tests/batch_hype_test.cc, tests/doc_plane_test.cc) enforce this across
+// batch sizes, jump and index modes, with the NaiveEvaluator as the answer
+// oracle.
 //
 // The evaluator is reusable: repeated EvalAll calls keep the joint tables
 // and each engine's transition plane warm.
@@ -68,6 +73,7 @@
 #include <vector>
 
 #include "automata/mfa.h"
+#include "common/cancellation.h"
 #include "hype/engine.h"
 #include "hype/index.h"
 #include "hype/transition_plane.h"
@@ -101,6 +107,13 @@ struct BatchHypeOptions {
   bool enable_jump = true;
 };
 
+/// Statistics of one shared pass (driver-side, per walk not per engine).
+struct SharedPassStats {
+  int64_t nodes_walked = 0;     // element nodes the shared walk entered
+  int64_t subtrees_skipped = 0; // children pruned by every live engine
+  int64_t positions_jumped = 0; // transparent positions skipped by jump mode
+};
+
 class BatchHypeEvaluator {
  public:
   /// The MFAs must outlive the evaluator. They may repeat (each slot still
@@ -109,6 +122,12 @@ class BatchHypeEvaluator {
   BatchHypeEvaluator(const xml::Tree& tree,
                      std::vector<const automata::Mfa*> mfas,
                      BatchHypeOptions options = {});
+
+  /// A batch of one whose engine is built from `options` as given, including
+  /// a caller-supplied transition plane (HypeEvaluator's front end). The
+  /// index, plane and jump settings apply to the walk as in BatchHypeOptions.
+  BatchHypeEvaluator(const xml::Tree& tree, const automata::Mfa& mfa,
+                     HypeOptions options);
 
   /// Evaluates every MFA at `context` in one shared pass; result i is the
   /// sorted answer set of mfas[i] (== HypeEvaluator(tree, *mfas[i]).Eval).
@@ -142,14 +161,14 @@ class BatchHypeEvaluator {
 
   size_t batch_size() const { return engines_.size(); }
 
-  /// Per-query statistics of the last EvalAll (identical to what the solo
-  /// evaluator would report; configs_interned attributes shared-plane
-  /// insertions, see engine.h).
+  /// Per-query statistics of the last EvalAll (identical to what a batch of
+  /// one would report; configs_interned attributes shared-plane insertions,
+  /// see engine.h).
   const EvalStats& stats(size_t i) const { return engines_[i]->stats(); }
 
   /// Shared-walk statistics of the last EvalAll. nodes_walked counts element
-  /// nodes entered once by the shared pass -- the per-query passes would
-  /// have entered sum_i stats(i).elements_visited nodes in total.
+  /// nodes entered once by the shared pass -- batches of one would have
+  /// entered sum_i stats(i).elements_visited nodes in total.
   const SharedPassStats& pass_stats() const { return pass_stats_; }
 
   /// Joint states interned so far (sharing diagnostics).

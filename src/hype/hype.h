@@ -10,7 +10,8 @@
 // through fully validated runs.
 //
 // Two engineering refinements over the paper's pseudo-code (both behavior
-// preserving, see DESIGN.md):
+// preserving; see HypeEngine::EnterNode in engine.cc and the design note in
+// transition_plane.h):
 //  - guard regions: cans bookkeeping only starts below the first node whose
 //    mstates contain a filter-annotated state; answers above emit directly,
 //    keeping cans far smaller than T (the paper's own observation);
@@ -24,12 +25,13 @@
 // below a child (OptHyPE / OptHyPE-C); transitions are then memoized per
 // (config, label, label-set).
 //
-// The per-run evaluation state and the traversal live in hype/engine.h
-// (HypeEngine + RunSharedPass, an explicit-stack walk that can drive many
-// engines at once); the query-derived state -- configuration store, memoized
-// transition tables -- lives in a shareable hype::TransitionPlane
-// (transition_plane.h). HypeEvaluator is the single-query front end. For
-// evaluating a batch of queries in one shared pass, see hype/batch_hype.h.
+// The per-run evaluation state lives in hype/engine.h (HypeEngine); the
+// query-derived state -- configuration store, memoized transition tables --
+// lives in a shareable hype::TransitionPlane (transition_plane.h); the
+// traversal is the joint pass of hype/batch_hype.h, the one HyPE driver.
+// HypeEvaluator is the single-query front end: a BatchHypeEvaluator holding
+// one query, so its answers and statistics are by construction those of
+// the same query inside any batch.
 
 #ifndef SMOQE_HYPE_HYPE_H_
 #define SMOQE_HYPE_HYPE_H_
@@ -37,9 +39,10 @@
 #include <vector>
 
 #include "automata/mfa.h"
+#include "common/cancellation.h"
+#include "common/status.h"
+#include "hype/batch_hype.h"
 #include "hype/engine.h"
-#include "hype/index.h"
-#include "xml/doc_plane.h"
 #include "xml/tree.h"
 
 namespace smoqe::hype {
@@ -56,23 +59,21 @@ class HypeEvaluator {
 
   /// Abortable Eval: polls `control` at the documented checkpoint interval
   /// and returns kCancelled / kDeadlineExceeded instead of answers when the
-  /// traversal is aborted. The evaluator stays reusable after an abort.
+  /// traversal is aborted. The evaluator stays reusable after an abort, but
+  /// the aborted call's statistics are discarded (as in batch_hype.h):
+  /// stats() then describes no pass, and pass_stats() only shows how far
+  /// the aborted walk got.
   StatusOr<std::vector<xml::NodeId>> Eval(xml::NodeId context,
                                           const EvalControl& control);
 
   /// Statistics of the last Eval call.
-  const EvalStats& stats() const { return engine_.stats(); }
+  const EvalStats& stats() const { return batch_.stats(0); }
 
   /// Driver statistics of the last Eval call (jump-mode diagnostics).
-  const SharedPassStats& pass_stats() const { return pass_stats_; }
+  const SharedPassStats& pass_stats() const { return batch_.pass_stats(); }
 
  private:
-  const xml::Tree& tree_;
-  xml::DocPlane plane_owned_;        // empty when options.plane was provided
-  const xml::DocPlane* plane_;
-  bool enable_jump_;
-  HypeEngine engine_;
-  SharedPassStats pass_stats_;
+  BatchHypeEvaluator batch_;
 };
 
 }  // namespace smoqe::hype

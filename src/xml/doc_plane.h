@@ -34,13 +34,13 @@
 // with a label in set R inside this subtree" into a handful of
 // lower_bounds -- the structural-index idea OptHyPE applies to pruning,
 // extended to navigation.
-// The traversal drivers (hype::RunSharedPass and BatchHypeEvaluator's joint
-// driver) use exactly that query for their jump mode: when every live engine
-// is in a simple configuration, only positions whose label is in the merged
-// relevant set can change any engine's state, and the driver leaps from
-// candidate to candidate, reconstructing visit accounting for the skipped
-// transparent positions from the extents (see the jump-mode notes in
-// hype/engine.h and hype/batch_hype.h).
+// HyPE's one traversal driver (BatchHypeEvaluator's joint pass; a solo
+// HypeEvaluator is a batch of one) uses exactly that query for its jump
+// mode: when every engine at a node rides framelessly in a final-free
+// configuration, only positions whose label is in the merged relevant set
+// can change any engine's state, and the driver leaps from candidate to
+// candidate, accounting the skipped transparent positions in bulk (see the
+// jump-mode note in hype/batch_hype.h).
 //
 // Two ways to build one:
 //  * DocPlane::Build(tree): one explicit-stack DFS over a finished tree

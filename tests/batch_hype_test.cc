@@ -1,9 +1,11 @@
 // BatchHypeEvaluator correctness: a batch evaluated in one shared pass must
-// answer exactly like per-query HypeEvaluator runs, which in turn must match
-// the NaiveEvaluator oracle -- across batch sizes, with and without the
-// subtree-label index, on fixed and randomized query workloads. Also the
-// explicit-stack regression: documents ≥ 100k deep must evaluate without
-// stack overflow (the recursive Visit of the old evaluator could not).
+// answer exactly like per-query HypeEvaluator runs (batches of one), which
+// in turn must match the NaiveEvaluator oracle -- across batch sizes, with
+// and without the subtree-label index, on fixed and randomized query
+// workloads. Every batch of one must also have visited exactly the nodes its
+// walk entered or leapt over. Also the explicit-stack regression: documents
+// ≥ 100k deep must evaluate without stack overflow (the recursive Visit of
+// the old evaluator could not).
 
 #include <gtest/gtest.h>
 
@@ -27,6 +29,15 @@ namespace smoqe::hype {
 namespace {
 
 using NodeVec = std::vector<xml::NodeId>;
+
+// A batch of one enters every node its engine visits and nothing else: the
+// engine's visit count is the walk's, nodes entered plus positions jumped.
+void ExpectVisitsMatchWalk(const EvalStats& stats,
+                           const SharedPassStats& pass,
+                           const std::string& what) {
+  EXPECT_EQ(stats.elements_visited, pass.nodes_walked + pass.positions_jumped)
+      << what;
+}
 
 xml::Tree Hospital(int patients, uint64_t seed) {
   gen::HospitalParams params;
@@ -80,6 +91,8 @@ void CheckEquivalence(const xml::Tree& tree,
       ASSERT_EQ(solo.back(), expected[i])
           << "solo HyPE vs naive, query " << queries[i]
           << " index=" << (index != nullptr);
+      ExpectVisitsMatchWalk(eval.stats(), eval.pass_stats(),
+                            "solo, query " + queries[i]);
     }
 
     // Batched must agree with per-query, for every partition into batches.
@@ -99,6 +112,10 @@ void CheckEquivalence(const xml::Tree& tree,
           EXPECT_EQ(answers[i - begin], solo[i])
               << "batched vs solo, query " << queries[i] << " batch_size "
               << batch_size << " index=" << (index != nullptr);
+        }
+        if (slice.size() == 1) {
+          ExpectVisitsMatchWalk(batch.stats(0), batch.pass_stats(),
+                                "batch of one, query " + queries[begin]);
         }
       }
     }

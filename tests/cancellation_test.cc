@@ -211,9 +211,11 @@ TEST(CancellationTest, DisabledControlMatchesPlainEval) {
 // The latency contract: a traversal observes cancellation after at most
 // `checkpoint_interval` additional node entries. The extra poll passes the
 // entry refresh once and demands cancellation from then on, so the pass is
-// cut off at the FIRST in-loop checkpoint -- elements_visited must stay
-// within one interval (the driver may also spend polls on pops, which only
-// tightens the bound).
+// cut off at the FIRST in-loop checkpoint -- the nodes the walk entered
+// must stay within one interval (the driver may also spend polls on pops,
+// which only tightens the bound). The bound reads the driver's
+// nodes_walked: an aborted pass's per-engine statistics are discarded (a
+// frameless engine's visits are only added when a pass completes).
 TEST(CancellationTest, CancellationLatencyBoundedByCheckpointInterval) {
   xml::Tree tree = Hospital(200, 17);
   automata::Mfa mfa = Compile("//diagnosis");
@@ -233,8 +235,8 @@ TEST(CancellationTest, CancellationLatencyBoundedByCheckpointInterval) {
   auto aborted = eval.Eval(tree.root(), control);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(aborted.status().code(), StatusCode::kCancelled);
-  EXPECT_LE(eval.stats().elements_visited, kInterval);
-  EXPECT_LT(eval.stats().elements_visited, total / 4);
+  EXPECT_LE(eval.pass_stats().nodes_walked, kInterval);
+  EXPECT_LT(eval.pass_stats().nodes_walked, total / 4);
 }
 
 TEST(CancellationTest, BatchEvalAbortsAndStaysReusable) {

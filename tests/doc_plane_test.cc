@@ -8,13 +8,14 @@
 //    Builder driven by view::Materialize emits exactly what DocPlane::Build
 //    computes after the fact.
 //  * Jump-driver equivalence: across label-sparse and label-dense generated
-//    documents and randomized query workloads, the jump-mode drivers
-//    (RunSharedPass via HypeEvaluator, and BatchHypeEvaluator's joint pass)
-//    must produce bit-identical answers AND per-engine traversal statistics
-//    to the full-DFS drivers and to solo no-jump HyPE, with the
-//    NaiveEvaluator as the answer oracle -- while actually engaging
-//    (positions_jumped > 0) on the sparse workloads, so a silent fallback
-//    to full DFS cannot pass.
+//    documents and randomized query workloads, the joint driver's jump mode
+//    -- in a batch of one (HypeEvaluator) and in a full batch -- must
+//    produce bit-identical answers AND per-engine traversal statistics to
+//    the full DFS and to solo no-jump HyPE, with the NaiveEvaluator as the
+//    answer oracle and, for every batch of one, the visit count pinned to
+//    the walk (elements_visited == nodes_walked + positions_jumped) -- while
+//    actually engaging (positions_jumped > 0) on the sparse workloads, so a
+//    silent fallback to full DFS cannot pass.
 
 #include <gtest/gtest.h>
 
@@ -284,6 +285,16 @@ void ExpectStatsEqual(const hype::EvalStats& a, const hype::EvalStats& b,
   EXPECT_EQ(a.afa_state_requests, b.afa_state_requests) << what;
 }
 
+// A batch of one enters every node its engine visits and nothing else, so
+// the engine's visit count must equal the walk's: the nodes the driver
+// entered plus the transparent positions jump mode leapt over.
+void ExpectVisitsMatchWalk(const hype::HypeEvaluator& solo,
+                           const std::string& what) {
+  EXPECT_EQ(solo.stats().elements_visited,
+            solo.pass_stats().nodes_walked + solo.pass_stats().positions_jumped)
+      << what;
+}
+
 // The oracle sandwich for one document/workload: naive answers == no-jump
 // solo == jump solo == no-jump batch == jump batch, with traversal
 // statistics bit-identical across all HyPE variants; returns the number of
@@ -313,6 +324,7 @@ int64_t CheckJumpEquivalence(const Tree& tree,
     hype::HypeEvaluator solo_off(tree, mfas[i], off);
     baseline.push_back(solo_off.Eval(tree.root()));
     baseline_stats.push_back(solo_off.stats());
+    ExpectVisitsMatchWalk(solo_off, "no-jump solo: " + queries[i]);
     if (use_naive) {
       auto parsed = xpath::ParseQuery(queries[i]);
       EXPECT_TRUE(parsed.ok()) << queries[i];
@@ -328,6 +340,7 @@ int64_t CheckJumpEquivalence(const Tree& tree,
         << "jump solo: " << queries[i];
     ExpectStatsEqual(solo_on.stats(), baseline_stats.back(),
                      "solo jump vs full-DFS stats: " + queries[i]);
+    ExpectVisitsMatchWalk(solo_on, "jump solo: " + queries[i]);
     jumped += solo_on.pass_stats().positions_jumped;
   }
 
@@ -429,8 +442,8 @@ TEST(JumpEquivalenceTest, IndexModesDisableJumpButStayEquivalent) {
 
 TEST(JumpEquivalenceTest, DeepChainReplayRegression) {
   // A 50k-deep transparent chain with one needle at the bottom: the jump
-  // driver must replay the whole ancestor chain without recursing and keep
-  // the counters exact. (No naive leg -- it is quadratic in depth -- so pin
+  // driver must cross the whole chain without recursing and keep the
+  // counters exact. (No naive leg -- it is quadratic in depth -- so pin
   // the expected answers by hand against the no-jump solo baseline.)
   constexpr int kDepth = 50000;
   Tree tree;
@@ -474,6 +487,8 @@ TEST(JumpEquivalenceTest, SubtreeContextsMatch) {
       EXPECT_EQ(solo_on.Eval(context), expected) << "context " << context;
       ExpectStatsEqual(solo_on.stats(), solo_off.stats(),
                        "context " + std::to_string(context));
+      ExpectVisitsMatchWalk(solo_off, "context " + std::to_string(context));
+      ExpectVisitsMatchWalk(solo_on, "context " + std::to_string(context));
     }
   }
 }

@@ -61,6 +61,26 @@ TEST(HospitalGeneratorTest, ShapeMatchesPaperProfile) {
   EXPECT_GE(t.CountElements(), 200 * 15);
 }
 
+TEST(HospitalGeneratorTest, DeepAncestorSerialsWrapWithoutOverflow) {
+  // Ancestor serials grow 101x per generation, so at 2200 patients the third
+  // generation leaves int range. The generator wraps them mod 2^32 (the
+  // sanitizer build would halt on a signed overflow here) and the document
+  // still conforms; the wrapped serials show up as negative pnames.
+  HospitalParams params;
+  params.patients = 2200;
+  xml::Tree t = GenerateHospital(params);
+  Status s = dtd::ValidateDocument(HospitalDtd(), t);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  int wrapped = 0;
+  for (xml::NodeId id = 0; id < t.size(); ++id) {
+    if (t.is_element(id) && t.label_name(id) == "pname" &&
+        t.TextOf(id).rfind("p--", 0) == 0) {
+      ++wrapped;
+    }
+  }
+  EXPECT_GT(wrapped, 0);
+}
+
 TEST(HospitalGeneratorTest, SelectivityKnobWorks) {
   HospitalParams params;
   params.patients = 300;

@@ -140,26 +140,37 @@ TEST(ThreadPoolTest, DestructionRacingExternalSubmitters) {
   for (int round = 0; round < 10; ++round) {
     std::atomic<int64_t> ran{0};
     std::atomic<int64_t> accepted_or_broken{0};
+    std::atomic<int> finished{0};
     std::vector<std::thread> submitters;
     {
       ThreadPool pool(3);
+      // Keeps one worker, and so the destructor's join, busy until every
+      // submitter is done with the pool: Submit may race the destructor,
+      // but never run after it.
+      pool.Submit([&finished] {
+        while (finished.load(std::memory_order_acquire) < 4) {
+          std::this_thread::yield();
+        }
+      });
       std::atomic<bool> go{false};
       for (int t = 0; t < 4; ++t) {
-        submitters.emplace_back([&pool, &go, &ran, &accepted_or_broken] {
-          while (!go.load(std::memory_order_acquire)) {
-          }
-          for (int i = 0; i < 64; ++i) {
-            auto f = pool.SubmitWithResult(
-                [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-            try {
-              f.get();  // either the task ran...
-              accepted_or_broken.fetch_add(1, std::memory_order_relaxed);
-            } catch (const std::future_error&) {
-              // ...or the pool was tearing down and dropped it cleanly.
-              accepted_or_broken.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        });
+        submitters.emplace_back(
+            [&pool, &go, &ran, &accepted_or_broken, &finished] {
+              while (!go.load(std::memory_order_acquire)) {
+              }
+              for (int i = 0; i < 64; ++i) {
+                auto f = pool.SubmitWithResult(
+                    [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+                try {
+                  f.get();  // either the task ran...
+                  accepted_or_broken.fetch_add(1, std::memory_order_relaxed);
+                } catch (const std::future_error&) {
+                  // ...or the pool was tearing down and dropped it cleanly.
+                  accepted_or_broken.fetch_add(1, std::memory_order_relaxed);
+                }
+              }
+              finished.fetch_add(1, std::memory_order_release);
+            });
       }
       go.store(true, std::memory_order_release);
       // Fall out of scope immediately: the destructor races the submitters.
