@@ -293,14 +293,13 @@ int WriteJsonSmoke(const std::string& path) {
     }
     // Snapshot the admission/cache counters of everything this
     // configuration served: how batches closed, compile-cache efficiency,
-    // same-MFA coalescing, and warm-evaluator reuse.
+    // and same-MFA coalescing.
     const exec::QueryServiceStats st = service.stats();
     std::fprintf(out,
                  "%s    {\"clients\": %d, \"qps\": %.1f, "
                  "\"batches\": %lld, \"batches_full\": %lld, "
                  "\"batches_aged\": %lld, \"cache_hits\": %lld, "
                  "\"cache_misses\": %lld, \"coalesced\": %lld, "
-                 "\"evaluator_reuses\": %lld, "
                  "\"queries_timed_out\": %lld, \"queries_shed\": %lld, "
                  "\"queries_cancelled\": %lld, \"queries_retried\": %lld}",
                  first ? "" : ",\n", clients,
@@ -311,7 +310,6 @@ int WriteJsonSmoke(const std::string& path) {
                  static_cast<long long>(st.cache.hits),
                  static_cast<long long>(st.cache.misses),
                  static_cast<long long>(st.coalesced_duplicates),
-                 static_cast<long long>(st.evaluator_reuses),
                  static_cast<long long>(st.queries_timed_out),
                  static_cast<long long>(st.queries_shed),
                  static_cast<long long>(st.queries_cancelled),
@@ -319,7 +317,7 @@ int WriteJsonSmoke(const std::string& path) {
     std::printf(
         "service clients=%d: %lld batches (%lld full, %lld aged), "
         "rewrite cache %lld hits / %lld misses, %lld coalesced, "
-        "%lld evaluator reuses, %lld timed out / %lld shed / "
+        "%lld timed out / %lld shed / "
         "%lld cancelled / %lld retried\n",
         clients, static_cast<long long>(st.batches),
         static_cast<long long>(st.batches_full),
@@ -327,7 +325,6 @@ int WriteJsonSmoke(const std::string& path) {
         static_cast<long long>(st.cache.hits),
         static_cast<long long>(st.cache.misses),
         static_cast<long long>(st.coalesced_duplicates),
-        static_cast<long long>(st.evaluator_reuses),
         static_cast<long long>(st.queries_timed_out),
         static_cast<long long>(st.queries_shed),
         static_cast<long long>(st.queries_cancelled),

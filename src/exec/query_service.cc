@@ -10,32 +10,11 @@
 
 namespace smoqe::exec {
 
-// See the header: one reusable ShardedBatchEvaluator per recent MFA set
-// within one plane universe (the service's, or one role partition's).
-struct QueryService::CachedEvaluator {
-  std::vector<std::shared_ptr<const automata::Mfa>> mfas;  // pointer-sorted
-  ShardedBatchEvaluator eval;
-  int64_t last_used = 0;
-  hype::TransitionPlaneStore* store = nullptr;  // cache-key component
-  // Keeps the role partition (its planes, referenced by `eval`) alive while
-  // this evaluator is cached, even across catalog eviction of a cold role.
-  std::shared_ptr<policy::RoleCatalog::Entry> pin;
-
-  CachedEvaluator(const xml::Tree& tree,
-                  std::vector<std::shared_ptr<const automata::Mfa>> sorted,
-                  const ShardedOptions& options)
-      : mfas(std::move(sorted)),
-        eval(tree,
-             [this] {
-               std::vector<const automata::Mfa*> ptrs;
-               ptrs.reserve(mfas.size());
-               for (const auto& mfa : mfas) ptrs.push_back(mfa.get());
-               return ptrs;
-             }(),
-             options) {}
-};
-
 namespace {
+
+// Compiled queries kept hot: the RewriteCache's capacity and the plane
+// store's soft cap on retained planes.
+constexpr size_t kCompiledQueryCapacity = 1024;
 
 // Normalized before the dispatcher thread (a later member) can observe it.
 QueryServiceOptions Validated(QueryServiceOptions options) {
@@ -43,31 +22,41 @@ QueryServiceOptions Validated(QueryServiceOptions options) {
   return options;
 }
 
+// The in-memory epoch: the caller's tree, and the caller's plane or one
+// built here. Borrowed pointers alias an empty owner, so the epoch never
+// frees them.
+xml::PlaneEpoch BorrowedEpoch(const xml::Tree& tree,
+                              const xml::DocPlane* plane) {
+  xml::PlaneEpoch epoch;
+  epoch.tree = std::shared_ptr<const xml::Tree>(std::shared_ptr<void>(), &tree);
+  epoch.plane =
+      plane != nullptr
+          ? std::shared_ptr<const xml::DocPlane>(std::shared_ptr<void>(), plane)
+          : std::make_shared<const xml::DocPlane>(xml::DocPlane::Build(tree));
+  return epoch;
+}
+
+std::unique_ptr<hype::TransitionPlaneStore> NewPlaneStore(
+    const xml::PlaneEpoch& epoch, const hype::SubtreeLabelIndex* index) {
+  return std::make_unique<hype::TransitionPlaneStore>(
+      *epoch.tree, index,
+      hype::TransitionPlaneStore::Options{.capacity = kCompiledQueryCapacity});
+}
+
 }  // namespace
 
 QueryService::QueryService(const xml::Tree& tree, QueryServiceOptions options)
-    : QueryService(&tree, nullptr, std::move(options)) {}
+    : QueryService(BorrowedEpoch(tree, options.plane), nullptr, options) {}
 
-QueryService::QueryService(const xml::Tree* tree,
+QueryService::QueryService(xml::PlaneEpoch epoch,
                            std::unique_ptr<storage::DurableEpochStore> store,
                            QueryServiceOptions options)
     : options_(Validated(std::move(options))),
       store_(std::move(store)),
-      epoch_(store_ != nullptr ? store_->Snapshot() : xml::PlaneEpoch{}),
-      tree_(store_ != nullptr ? epoch_.tree.get() : tree),
-      plane_owned_(store_ == nullptr && options_.plane == nullptr
-                       ? xml::DocPlane::Build(*tree_)
-                       : xml::DocPlane{}),
-      plane_(store_ != nullptr
-                 ? epoch_.plane.get()
-                 : (options_.plane == nullptr ? &plane_owned_
-                                              : options_.plane)),
-      plane_store_(std::make_unique<hype::TransitionPlaneStore>(
-          *tree_, options_.index,
-          hype::TransitionPlaneStore::Options{
-              .capacity = options_.cache_capacity})),
+      epoch_(std::move(epoch)),
+      plane_store_(NewPlaneStore(epoch_, options_.index)),
       pool_(options_.num_threads),
-      cache_(options_.view, {.capacity = options_.cache_capacity}),
+      cache_(options_.view, {.capacity = kCompiledQueryCapacity}),
       dispatcher_([this] { DispatcherLoop(); }) {}
 
 StatusOr<std::unique_ptr<QueryService>> QueryService::Open(
@@ -89,8 +78,9 @@ StatusOr<std::unique_ptr<QueryService>> QueryService::Open(
   auto store = storage::DurableEpochStore::Open(
       options.storage_dir, storage_options, std::move(initial));
   if (!store.ok()) return store.status();
+  xml::PlaneEpoch epoch = store.value()->Snapshot();
   return std::unique_ptr<QueryService>(new QueryService(
-      nullptr, std::move(store.value()), std::move(options)));
+      std::move(epoch), std::move(store.value()), std::move(options)));
 }
 
 QueryService::~QueryService() { Shutdown(); }
@@ -196,18 +186,12 @@ uint64_t QueryService::document_version() const {
 Status QueryService::ApplyWrite(const xml::TreeDelta& delta) {
   Status s = store_->Apply(delta);
   if (!s.ok()) return s;
-  // Swap serving to the just-published epoch. Everything whose universe was
-  // the old tree goes with it: the evaluator cache (shard engines hold tree
-  // and plane references) and the transition-plane store (interned against
-  // the old tree). The RewriteCache survives -- compiled MFAs are
-  // label-level, document-independent.
+  // Swap serving to the just-published epoch. The transition-plane store
+  // goes with the old tree (its planes interned against it); the
+  // RewriteCache survives -- compiled MFAs are label-level,
+  // document-independent.
   epoch_ = store_->Snapshot();
-  tree_ = epoch_.tree.get();
-  plane_ = epoch_.plane.get();
-  evaluators_.clear();
-  plane_store_ = std::make_unique<hype::TransitionPlaneStore>(
-      *tree_, options_.index,
-      hype::TransitionPlaneStore::Options{.capacity = options_.cache_capacity});
+  plane_store_ = NewPlaneStore(epoch_, options_.index);
   return Status::OK();
 }
 
@@ -279,53 +263,6 @@ void QueryService::DispatcherLoop() {
     ProcessBatch(std::move(batch));
     lock.lock();
   }
-}
-
-QueryService::CachedEvaluator& QueryService::EvaluatorFor(
-    std::vector<std::shared_ptr<const automata::Mfa>> sorted_mfas,
-    hype::TransitionPlaneStore* store,
-    std::shared_ptr<policy::RoleCatalog::Entry> pin, bool* reused) {
-  ++evaluator_clock_;
-  *reused = false;
-  for (auto& entry : evaluators_) {
-    if (entry->store != store) continue;
-    if (entry->mfas.size() != sorted_mfas.size()) continue;
-    bool equal = true;
-    for (size_t k = 0; k < sorted_mfas.size(); ++k) {
-      if (entry->mfas[k].get() != sorted_mfas[k].get()) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) {
-      entry->last_used = evaluator_clock_;
-      *reused = true;
-      return *entry;
-    }
-  }
-  // Miss: evict the least recently used beyond a small working set. The
-  // evaluators hold per-shard engines, so the cap bounds memory, not
-  // correctness.
-  constexpr size_t kMaxCachedEvaluators = 4;
-  if (evaluators_.size() >= kMaxCachedEvaluators) {
-    size_t lru = 0;
-    for (size_t e = 1; e < evaluators_.size(); ++e) {
-      if (evaluators_[e]->last_used < evaluators_[lru]->last_used) lru = e;
-    }
-    evaluators_.erase(evaluators_.begin() + lru);
-  }
-  ShardedOptions sharded_options;
-  sharded_options.index = options_.index;
-  sharded_options.plane = plane_;
-  sharded_options.plane_store = store;
-  sharded_options.pool = &pool_;
-  sharded_options.num_shards = options_.num_shards;
-  evaluators_.push_back(std::make_unique<CachedEvaluator>(
-      *tree_, std::move(sorted_mfas), sharded_options));
-  evaluators_.back()->last_used = evaluator_clock_;
-  evaluators_.back()->store = store;
-  evaluators_.back()->pin = std::move(pin);
-  return *evaluators_.back();
 }
 
 void QueryService::ProcessBatch(std::vector<Pending> batch) {
@@ -465,13 +402,11 @@ void QueryService::ProcessBatch(std::vector<Pending> batch) {
   // batch. A kCancelled abort likewise resolves the cancelled members and
   // retries. Any other failure (injected shard fault -> kUnavailable) is
   // terminal for the whole round's group.
-  int64_t evaluator_reuses_batch = 0;
   int64_t role_groups = 0;
   for (Group& group : groups) {
   hype::TransitionPlaneStore* store =
       group.entry != nullptr ? &group.entry->planes() : plane_store_.get();
   if (group.entry != nullptr) ++role_groups;
-  bool first_round = true;
   int backoff_round = 0;
   for (;;) {
     if (backoff_round > 0) {
@@ -540,35 +475,21 @@ void QueryService::ProcessBatch(std::vector<Pending> batch) {
       };
     }
 
-    // Canonicalize the round's MFA set by pointer order so repeated query
-    // mixes -- whatever order clients submitted them in -- reuse one warm
-    // evaluator; `order[k]` maps the k-th sorted position back to `slots`.
-    std::vector<size_t> order(slots.size());
-    for (size_t k = 0; k < order.size(); ++k) order[k] = k;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return mfas[slots[a]].get() < mfas[slots[b]].get();
-    });
-    std::vector<std::shared_ptr<const automata::Mfa>> sorted;
-    sorted.reserve(slots.size());
-    for (size_t k : order) sorted.push_back(mfas[slots[k]]);
-
-    bool reused = false;
-    CachedEvaluator& cached =
-        EvaluatorFor(std::move(sorted), store, group.entry, &reused);
-    if (first_round) {
-      evaluator_reuses_batch += reused ? 1 : 0;
-      first_round = false;
-    }
-    std::vector<std::vector<xml::NodeId>> sorted_answers =
-        control.enabled() ? cached.eval.EvalAll(tree_->root(), control)
-                          : cached.eval.EvalAll(tree_->root());
-    const Status& st = cached.eval.last_status();
+    // One evaluator per round, over the live MFAs in slot order; the plane
+    // store keeps the next round (and batch) warm, not the evaluator.
+    std::vector<const automata::Mfa*> round_mfas;
+    round_mfas.reserve(slots.size());
+    for (size_t s : slots) round_mfas.push_back(mfas[s].get());
+    ShardedBatchEvaluator eval(*epoch_.tree, std::move(round_mfas),
+                               {.index = options_.index,
+                                .plane = epoch_.plane.get(),
+                                .pool = &pool_,
+                                .plane_store = store});
+    std::vector<std::vector<xml::NodeId>> answers =
+        eval.EvalAll(epoch_.tree->root(), control);
+    const Status& st = eval.last_status();
 
     if (st.ok()) {
-      std::vector<std::vector<xml::NodeId>> answers(slots.size());
-      for (size_t k = 0; k < order.size(); ++k) {
-        answers[order[k]] = std::move(sorted_answers[k]);
-      }
       for (size_t k = 0; k < slots.size(); ++k) {
         std::vector<size_t> targets;
         for (size_t i : waiters[slots[k]]) {
@@ -641,7 +562,6 @@ void QueryService::ProcessBatch(std::vector<Pending> batch) {
     stats_.queries_shed += shed;
     stats_.queries_cancelled += cancelled;
     stats_.coalesced_duplicates += coalesced;
-    stats_.evaluator_reuses += evaluator_reuses_batch;
     stats_.role_groups += role_groups;
     stats_.role_denied_empty += role_denied_empty;
     stats_.queries_retried += retried;

@@ -1,9 +1,12 @@
 // QueryService: the concurrent front-end of the serving spine.
 //
-// One service owns a loaded document, the query → MFA compilation cache
+// One service serves one document epoch (xml::PlaneEpoch: a tree and its
+// columnar plane) and owns the query -> MFA compilation cache
 // (rewrite::RewriteCache -- view-rewriting or plain mode), the per-query
 // transition-plane store (hype::TransitionPlaneStore -- compiled evaluation
-// state shared across batches and shards), and the thread pool. Any number of client threads Submit query text and get a future;
+// state shared across batches and shards), and the thread pool.
+//
+// Any number of client threads Submit query text and get a future;
 // internally a dispatcher thread coalesces submissions into ADMISSION
 // BATCHES -- a batch closes when it reaches `max_batch` queries or when its
 // oldest entry has waited `max_delay` -- compiles the batch through the
@@ -13,6 +16,19 @@
 // query, enforced by the randomized multi-client stress suite
 // (tests/exec_service_test.cc).
 //
+// Reusable per-query state lives in exactly two places: the RewriteCache
+// (the rewritten MFA Q', Section 5) and the plane store (HyPE's memoized
+// lazy-DFA configurations, Section 6). Evaluators are not reused: each
+// evaluation round builds one ShardedBatchEvaluator over its live MFAs and
+// drops it when the round ends, so no shard scratch -- and no role
+// partition -- outlives the batch that needed it. Later batches start warm
+// from the plane store alone.
+//
+// The epoch is the one serving state of both modes. In-memory mode borrows
+// the caller's tree (and plane, when given; otherwise the service builds
+// one). Durable mode (QueryService::Open) serves the snapshot of its
+// storage::DurableEpochStore and moves to the next one on every Apply.
+//
 // Multi-tenant mode (QueryServiceOptions::catalog): a Submit carrying a
 // policy::RoleId compiles through the role's catalog partition and is
 // evaluated only alongside same-role queries -- per-role rewrite caches and
@@ -20,10 +36,10 @@
 // state. See policy/role_catalog.h.
 //
 // Threading model: clients touch only the pending queue (one mutex);
-// the dispatcher alone touches the cache and the evaluators, so neither
-// needs locking; shard walks fan out over the pool with shard-local engine
-// state. Shutdown drains: every query submitted before the destructor runs
-// is answered.
+// the dispatcher alone touches the cache, the epoch and the evaluators, so
+// none of them needs locking; shard walks fan out over the pool with
+// shard-local engine state. Shutdown drains: every query submitted before
+// the destructor runs is answered.
 
 #ifndef SMOQE_EXEC_QUERY_SERVICE_H_
 #define SMOQE_EXEC_QUERY_SERVICE_H_
@@ -78,11 +94,9 @@ struct QueryServiceOptions {
   /// evaluator it ever creates).
   const xml::DocPlane* plane = nullptr;
 
-  /// Evaluation pool width; 0 = hardware concurrency.
+  /// Evaluation pool width; 0 = hardware concurrency. Each pass targets
+  /// twice the pool width in shard groups.
   int num_threads = 0;
-
-  /// Shard-group target per pass; 0 = twice the pool width.
-  int num_shards = 0;
 
   /// A batch dispatches as soon as it holds this many queries (0 is
   /// clamped to 1)...
@@ -90,9 +104,6 @@ struct QueryServiceOptions {
 
   /// ...or as soon as its oldest query has waited this long.
   std::chrono::microseconds max_delay{200};
-
-  /// RewriteCache capacity (compiled MFAs kept hot), 0 = unbounded.
-  size_t cache_capacity = 1024;
 
   /// Admission control: Submit sheds with kResourceExhausted once this many
   /// queries are already pending (overload protection for the wire-protocol
@@ -157,8 +168,9 @@ struct SubmitOptions {
 
 /// Counter snapshot returned by QueryService::stats(): submission/answer
 /// totals, admission-batch shape (how batches closed: full vs aged out),
-/// evaluator-cache reuse, and the RewriteCache hit/miss/eviction counters.
-/// bench_parallel prints one per smoke configuration.
+/// duplicate coalescing, role groups, retries, durable writes, and the
+/// RewriteCache hit/miss/eviction counters. bench_parallel prints one per
+/// smoke configuration.
 struct QueryServiceStats {
   int64_t queries_submitted = 0;
   int64_t queries_answered = 0;  // includes failures
@@ -168,9 +180,9 @@ struct QueryServiceStats {
   int64_t batches_aged = 0;  // admission closed by max_delay (or shutdown)
   int64_t max_batch_seen = 0;
   int64_t coalesced_duplicates = 0;  // same-MFA queries evaluated once
-  // Role-partition groups served by a warm sharded evaluator (one count
-  // per group per batch; every batch is a single group in single-tenant
-  // service use, preserving the old per-batch meaning).
+  // Always zero: the service no longer keeps sharded evaluators across
+  // batches (each evaluation round builds its own), so none is ever
+  // reused. Kept because the serving benchmark reads the field.
   int64_t evaluator_reuses = 0;
   int64_t queries_timed_out = 0;  // resolved kDeadlineExceeded
   int64_t queries_shed = 0;       // resolved kResourceExhausted (admission)
@@ -192,7 +204,7 @@ class QueryService {
  public:
   using Answer = StatusOr<std::vector<xml::NodeId>>;
 
-  /// `tree` (and the view/index, when set) must outlive the service.
+  /// `tree` (and the view/index/plane, when set) must outlive the service.
   explicit QueryService(const xml::Tree& tree,
                         QueryServiceOptions options = {});
 
@@ -275,53 +287,36 @@ class QueryService {
     std::promise<Status> promise;
   };
 
-  // A recently used sharded evaluator, keyed by its (pointer-sorted) MFA
-  // set. Steady-state traffic repeats query mixes; reusing the evaluator
-  // keeps every shard's transition tables warm and skips the per-batch
-  // probe/plan work. The entry owns the shared_ptrs so cached MFAs outlive
-  // any RewriteCache eviction. Dispatcher-thread only.
-  struct CachedEvaluator;
-
-  // Shared delegating constructor: exactly one of `tree` (borrowed,
-  // in-memory mode) or `store` (owned, durable mode) is non-null.
-  QueryService(const xml::Tree* tree,
+  // Shared delegating constructor: serves `epoch`; `store` is null in
+  // in-memory mode.
+  QueryService(xml::PlaneEpoch epoch,
                std::unique_ptr<storage::DurableEpochStore> store,
                QueryServiceOptions options);
 
   void DispatcherLoop();
   void ProcessBatch(std::vector<Pending> batch);
   // Dispatcher-thread only: publishes one durable delta and, on success,
-  // swaps serving to the new epoch (tree/plane pointers, fresh plane store,
-  // evaluator cache cleared -- their universes referenced the old tree).
+  // swaps serving to the new epoch with a fresh plane store (its planes
+  // interned against the old tree).
   Status ApplyWrite(const xml::TreeDelta& delta);
-  // `store` selects the plane universe (the service's own, or a role
-  // partition's); `pin` keeps a role partition alive while its evaluator
-  // is cached (null for service-level evaluators).
-  CachedEvaluator& EvaluatorFor(
-      std::vector<std::shared_ptr<const automata::Mfa>> sorted_mfas,
-      hype::TransitionPlaneStore* store,
-      std::shared_ptr<policy::RoleCatalog::Entry> pin, bool* reused);
 
   QueryServiceOptions options_;
-  // Durable mode: the store plus the epoch currently served; `epoch_` pins
-  // the tree/plane that `tree_`/`plane_` point into across Apply swaps
-  // (in-flight readers hold their own PlaneEpoch-free shard state only
-  // within ProcessBatch, which the dispatcher serializes against writes).
+  // Durable mode only: the store whose snapshots `epoch_` follows.
   std::unique_ptr<storage::DurableEpochStore> store_;
+  // The served tree and plane, in both modes: borrowed from the caller (the
+  // plane built here when none was given) in in-memory mode, the store's
+  // current snapshot in durable mode. ProcessBatch reads it on the
+  // dispatcher thread, which also runs every swap, so a batch never sees
+  // two epochs.
   xml::PlaneEpoch epoch_;
-  const xml::Tree* tree_;      // the served document (mode-independent)
-  xml::DocPlane plane_owned_;  // in-memory mode, when no options.plane
-  const xml::DocPlane* plane_;
   // One interning universe per compiled query for every evaluator this
-  // service ever creates: shard engines share planes within a batch, and
-  // successive batches (and evaluator-cache rebuilds) start warm. Planes
-  // are seeded from the RewriteCache's CompiledMfa mirrors. Rebuilt on
-  // every durable epoch swap (planes intern against one tree).
+  // service creates: shard engines share planes within a batch, and
+  // successive batches start warm. Planes are seeded from the
+  // RewriteCache's CompiledMfa mirrors. Rebuilt on every durable epoch swap
+  // (planes intern against one tree).
   std::unique_ptr<hype::TransitionPlaneStore> plane_store_;
   common::ThreadPool pool_;
   rewrite::RewriteCache cache_;  // dispatcher-thread only
-  std::vector<std::unique_ptr<CachedEvaluator>> evaluators_;  // LRU, small
-  int64_t evaluator_clock_ = 0;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

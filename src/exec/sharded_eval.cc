@@ -37,14 +37,8 @@ ShardedBatchEvaluator::ShardedBatchEvaluator(
                        : nullptr),
       store_(options.plane_store == nullptr ? store_owned_.get()
                                             : options.plane_store) {
-  hype::HypeOptions engine_options;
-  engine_options.index = options_.index;
-  probes_.reserve(mfas_.size());
-  for (const automata::Mfa* mfa : mfas_) {
-    engine_options.transition_plane = store_->For(mfa);
-    probes_.push_back(
-        std::make_unique<hype::HypeEngine>(tree_, *mfa, engine_options));
-  }
+  planes_.reserve(mfas_.size());
+  for (const automata::Mfa* mfa : mfas_) planes_.push_back(store_->For(mfa));
 }
 
 ShardedBatchEvaluator::~ShardedBatchEvaluator() = default;
@@ -146,7 +140,8 @@ void ShardedBatchEvaluator::BuildPlan(xml::NodeId context) {
 // (some spine configuration carries AFA state or annotations, i.e. filter
 // truth would have to cross a unit boundary). Also collects the answers AT
 // spine nodes for shardable queries -- the one part of the document no unit
-// walk covers.
+// walk covers. The probe reads the shared planes directly; what it interns
+// is attributed to no query (merged_stats counts the worker engines only).
 void ShardedBatchEvaluator::ProbeQueries(xml::NodeId context) {
   const size_t n = mfas_.size();
   sharded_queries_.clear();
@@ -157,9 +152,9 @@ void ShardedBatchEvaluator::ProbeQueries(xml::NodeId context) {
 
   std::vector<int32_t> spine_cfg;
   for (size_t q = 0; q < n; ++q) {
-    hype::HypeEngine& probe = *probes_[q];
+    hype::TransitionPlane& plane = *planes_[q];
     spine_cfg.assign(plan_.spine.size(), -1);
-    spine_cfg[0] = probe.PrepareRoot(context);
+    spine_cfg[0] = plane.ContextConfig(context, nullptr);
     if (spine_cfg[0] < 0) {
       ++stats_.num_dead_queries;
       continue;
@@ -171,17 +166,19 @@ void ShardedBatchEvaluator::ProbeQueries(xml::NodeId context) {
         // the parent configuration is already resolved.
         int32_t parent_cfg = spine_cfg[plan_.spine[j].parent];
         if (parent_cfg < 0) continue;  // pruned above: subtree untouched
-        hype::HypeEngine::SuccRef succ = probe.PeekTransition(
-            parent_cfg, tree_.label(plan_.spine[j].node), plan_.spine[j].eff);
-        if (probe.ConfigDead(succ.config)) continue;
+        hype::SuccRef succ =
+            plane.Transition(parent_cfg, tree_.label(plan_.spine[j].node),
+                             plan_.spine[j].eff, nullptr);
+        if (plane.config(succ.config).dead) continue;
         spine_cfg[j] = succ.config;
       }
       ++spine_visits_[q];
-      if (!probe.ConfigSimple(spine_cfg[j])) {
+      const hype::TransitionPlane::Config& config = plane.config(spine_cfg[j]);
+      if (!config.IsSimple()) {
         shardable = false;
         break;
       }
-      if (probe.ConfigHasFinal(spine_cfg[j])) {
+      if (config.has_final) {
         spine_answers_[q].push_back(plan_.spine[j].node);
       }
     }
@@ -226,17 +223,7 @@ void ShardedBatchEvaluator::EnsureWorkers() {
 }
 
 std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAll(
-    xml::NodeId context) {
-  return EvalAllImpl(context, nullptr);
-}
-
-std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAll(
     xml::NodeId context, const EvalControl& control) {
-  return EvalAllImpl(context, &control);
-}
-
-std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAllImpl(
-    xml::NodeId context, const EvalControl* control) {
   const size_t n = mfas_.size();
   std::vector<std::vector<xml::NodeId>> results(n);
   merged_stats_.assign(n, hype::EvalStats{});
@@ -247,8 +234,7 @@ std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAllImpl(
   // guaranteed to carry a token so a tripping shard can fan the failure out
   // to its siblings. The internal token is re-armed per run; a caller token
   // is left as-is (its cancellation must stay visible to the caller).
-  EvalControl run_control;
-  if (control != nullptr) run_control = *control;
+  EvalControl run_control = control;
   if (run_control.token == nullptr && run_control.enabled()) {
     internal_token_.Reset();
     run_control.token = &internal_token_;

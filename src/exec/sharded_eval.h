@@ -26,9 +26,12 @@
 // fallback BatchHypeEvaluator, which runs as one more pool task. Answers at
 // spine nodes themselves are emitted centrally by the probe.
 //
-// The evaluator is reusable: repeated EvalAll calls on the same context keep
-// every shard's transition tables warm (the QueryService builds one per
-// admission batch; the throughput bench reuses one across iterations).
+// The evaluator is reusable: repeated EvalAll calls on the same context
+// reuse its plan, probe results and shard workers (the throughput bench
+// reuses one across iterations). Warmth does not depend on that reuse: the
+// transition planes live in the TransitionPlaneStore, so a new evaluator
+// over a warm store interns nothing (the QueryService builds one per
+// evaluation round and drops it when the round ends).
 
 #ifndef SMOQE_EXEC_SHARDED_EVAL_H_
 #define SMOQE_EXEC_SHARDED_EVAL_H_
@@ -105,17 +108,17 @@ class ShardedBatchEvaluator {
   /// Evaluates every MFA at `context`; result i is the sorted answer set of
   /// mfas[i], bit-identical to BatchHypeEvaluator::EvalAll (and hence to
   /// solo HypeEvaluator::Eval).
-  std::vector<std::vector<xml::NodeId>> EvalAll(xml::NodeId context);
-
-  /// Abortable EvalAll. Every shard task polls `control` through its own
-  /// EvalGate; the FIRST failure (caller cancellation, expired deadline, or
-  /// an injected shard fault) cancels the shared token, so sibling shards
-  /// abort within one checkpoint interval instead of finishing their units.
-  /// On abort the call returns all-empty answers, `last_status()` holds the
-  /// first failure, and the evaluator (workers, plan, planes) stays fully
-  /// reusable -- the next EvalAll starts clean and warm.
-  std::vector<std::vector<xml::NodeId>> EvalAll(xml::NodeId context,
-                                                const EvalControl& control);
+  ///
+  /// An enabled `control` makes the call abortable. Every shard task polls
+  /// it through its own EvalGate; the FIRST failure (caller cancellation,
+  /// expired deadline, or an injected shard fault) cancels the shared token,
+  /// so sibling shards abort within one checkpoint interval instead of
+  /// finishing their units. On abort the call returns all-empty answers,
+  /// `last_status()` holds the first failure, and the evaluator (workers,
+  /// plan, planes) stays fully reusable -- the next EvalAll starts clean and
+  /// warm.
+  std::vector<std::vector<xml::NodeId>> EvalAll(
+      xml::NodeId context, const EvalControl& control = {});
 
   /// kOk after a completed EvalAll; the first shard failure after an abort.
   const Status& last_status() const { return last_status_; }
@@ -158,8 +161,6 @@ class ShardedBatchEvaluator {
   void BuildPlan(xml::NodeId context);
   void ProbeQueries(xml::NodeId context);
   void EnsureWorkers();
-  std::vector<std::vector<xml::NodeId>> EvalAllImpl(xml::NodeId context,
-                                                    const EvalControl* control);
 
   const xml::Tree& tree_;
   std::vector<const automata::Mfa*> mfas_;
@@ -170,10 +171,10 @@ class ShardedBatchEvaluator {
   std::unique_ptr<hype::TransitionPlaneStore> store_owned_;
   hype::TransitionPlaneStore* store_;
 
-  // One probe engine per query: computes the spine configurations, decides
-  // shardability, and emits spine-node answers. Probes run only on the
-  // EvalAll caller thread.
-  std::vector<std::unique_ptr<hype::HypeEngine>> probes_;
+  // The shared plane of each query. The probe reads it directly to compute
+  // the spine configurations, decide shardability, and emit spine-node
+  // answers (on the EvalAll caller thread only).
+  std::vector<std::shared_ptr<hype::TransitionPlane>> planes_;
 
   Plan plan_;
   // Probe results for plan_.context (stable across calls, so workers and

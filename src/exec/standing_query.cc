@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "hype/batch_hype.h"
-#include "hype/engine.h"
 
 namespace smoqe::exec {
 
@@ -178,23 +177,22 @@ Status StandingQueryEvaluator::Advance(const xml::PlaneEpoch& next,
   std::vector<uint32_t> spliced;
   std::vector<uint32_t> full;
   for (uint32_t q = 0; q < mfas_.size(); ++q) {
-    hype::HypeOptions probe_options;
-    probe_options.transition_plane = store_->For(mfas_[q]);
-    hype::HypeEngine probe(new_tree, *mfas_[q], probe_options);
-    int32_t config = probe.PrepareRoot(new_tree.root());
+    const std::shared_ptr<hype::TransitionPlane> plane = store_->For(mfas_[q]);
+    int64_t interned = 0;
+    int32_t config = plane->ContextConfig(new_tree.root(), &interned);
     bool dead = config < 0;
     bool simple_above = true;
     for (size_t j = 1; !dead && j < chain.size(); ++j) {
-      if (!probe.ConfigSimple(config)) {
+      if (!plane->config(config).IsSimple()) {
         simple_above = false;
         break;
       }
       const hype::SuccRef succ =
-          probe.PeekTransition(config, new_tree.label(chain[j]), 0);
+          plane->Transition(config, new_tree.label(chain[j]), 0, &interned);
       config = succ.config;
-      dead = probe.ConfigDead(config);
+      dead = plane->config(config).dead;
     }
-    out->configs_interned += probe.stats().configs_interned;
+    out->configs_interned += interned;
     if (dead) {
       // The query never reaches the edited subtree; with identical labels
       // along the chain its old pass died at the same node, so the answer

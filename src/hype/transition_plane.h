@@ -15,8 +15,8 @@
 // object shared by every engine evaluating the same query over the same
 // document:
 //
-//  * per-shard engines of exec::ShardedBatchEvaluator (probes, workers, the
-//    fallback) share one plane per query;
+//  * the probe, shard workers and fallback of exec::ShardedBatchEvaluator
+//    share one plane per query;
 //  * successive exec::QueryService batches reuse planes through the
 //    service's TransitionPlaneStore, so steady-state traffic starts warm;
 //  * what stays in HypeEngine is exactly the per-RUN state: frames, the
@@ -349,8 +349,8 @@ class TransitionPlane {
 };
 
 /// A per-document registry of transition planes, keyed by MFA identity. One
-/// store is owned by each exec::QueryService (so successive batches and
-/// evaluator-cache rebuilds stay warm) and by each ShardedBatchEvaluator
+/// store is owned by each exec::QueryService (so successive batches, each
+/// with evaluators of its own, stay warm) and by each ShardedBatchEvaluator
 /// that was not handed one (so its probes, shard workers, and fallback share
 /// planes among themselves). Thread-safe.
 class TransitionPlaneStore {

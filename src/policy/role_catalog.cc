@@ -5,17 +5,27 @@
 
 namespace smoqe::policy {
 
+namespace {
+
+// Per-role RewriteCache capacity (compiled (role, query) rewritings).
+constexpr size_t kRoleRewriteCapacity = 256;
+
+// Per-role plane store capacity: 0 = unbounded. The catalog bounds a
+// role's planes by evicting its whole partition.
+constexpr size_t kRolePlaneCapacity = 0;
+
+}  // namespace
+
 RoleCatalog::Entry::Entry(CompiledRole compiled, const xml::Tree& tree,
-                          const hype::SubtreeLabelIndex* index,
-                          const RoleCatalogOptions& options)
+                          const hype::SubtreeLabelIndex* index)
     // Members initialize in declaration order, so compiled_ is live before
     // the caches bind to its view. A root-hidden entry has a null view; its
     // cache is never consulted (Compile's precondition).
     : compiled_(std::move(compiled)),
       cache_(compiled_.view.get(),
-             rewrite::RewriteCacheOptions{options.cache_capacity}),
+             rewrite::RewriteCacheOptions{kRoleRewriteCapacity}),
       planes_(tree, index,
-              hype::TransitionPlaneStore::Options{options.plane_capacity}) {}
+              hype::TransitionPlaneStore::Options{kRolePlaneCapacity}) {}
 
 StatusOr<rewrite::CompiledQuery> RoleCatalog::Entry::Compile(
     std::string_view query_text) {
@@ -46,7 +56,7 @@ StatusOr<std::shared_ptr<RoleCatalog::Entry>> RoleCatalog::Acquire(
     entry = it->second;
   } else {
     SMOQE_ASSIGN_OR_RETURN(CompiledRole compiled, CompileRole(policy_, role));
-    entry.reset(new Entry(std::move(compiled), tree_, index_, options_));
+    entry.reset(new Entry(std::move(compiled), tree_, index_));
     ++stats_.compiles;
     entries_[role] = entry;
   }

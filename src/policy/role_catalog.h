@@ -18,8 +18,8 @@
 // Acquire() compiles on first use and LRU-touches on every call. Beyond
 // `role_capacity` resident entries, the least recently used entries nobody
 // references are dropped (counted in stats().planes_evicted -- the gated
-// counter). Entries are handed out as shared_ptrs: an evaluator holding one
-// keeps a just-evicted role's planes alive until it lets go, the same
+// counter). Entries are handed out as shared_ptrs: a batch in flight holding
+// one keeps a just-evicted role's planes alive until it ends, the same
 // discipline TransitionPlaneStore applies to individual planes.
 //
 // Thread-safety: the catalog itself is thread-safe. Entry::Compile locks the
@@ -50,12 +50,6 @@ struct RoleCatalogOptions {
   /// Soft cap on resident role partitions; 0 = unbounded. In-use entries
   /// are never dropped.
   size_t role_capacity = 0;
-
-  /// Per-role RewriteCache capacity (compiled (role, query) rewritings).
-  size_t cache_capacity = 256;
-
-  /// Per-role TransitionPlaneStore capacity (0 = unbounded).
-  size_t plane_capacity = 0;
 };
 
 struct RoleCatalogStats {
@@ -89,8 +83,7 @@ class RoleCatalog {
    private:
     friend class RoleCatalog;
     Entry(CompiledRole compiled, const xml::Tree& tree,
-          const hype::SubtreeLabelIndex* index,
-          const RoleCatalogOptions& options);
+          const hype::SubtreeLabelIndex* index);
 
     CompiledRole compiled_;
     mutable std::mutex cache_mu_;

@@ -16,16 +16,18 @@
 // A role whose root is denied answers the empty node set for every
 // well-formed query (and a parse error for garbage) -- never an error.
 //
-// The suite ends with a concurrent registration/eviction stress (the TSan
-// target of the `authz` label): many client threads submitting role-scoped
-// queries against a catalog whose capacity forces continuous partition
-// eviction underneath warm evaluators.
+// The suite ends with partition eviction: a partition the catalog evicts is
+// freed once the batch using it ends, and a concurrent registration/eviction
+// stress (the TSan target of the `authz` label) has many client threads
+// submitting role-scoped queries against a catalog whose capacity forces
+// continuous partition eviction underneath in-flight batches.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -245,6 +247,46 @@ TEST(AuthzHiddenRootTest, EmptyAnswersNotErrors) {
   EXPECT_FALSE(plain.Submit("a", submit).get().ok());
 }
 
+// The service keeps no evaluator past its batch, so it pins no role
+// partition the catalog has evicted: with room for one role, serving role B
+// frees role A's partition while the service is still alive. Role A's
+// second serve builds a new evaluator yet interns nothing -- the
+// partition's plane store alone carries the warm start.
+TEST(AuthzEvictionTest, EvictedPartitionIsReleasedAfterItsBatch) {
+  Policy p(TestDtd());
+  const RoleId a = p.AddRole("a").take();
+  const RoleId b = p.AddRole("b").take();
+
+  gen::GenericParams params;
+  params.seed = 7;
+  auto tree = gen::GenerateFromDtd(p.source_dtd(), params);
+  ASSERT_TRUE(tree.ok());
+
+  policy::RoleCatalogOptions catalog_options;
+  catalog_options.role_capacity = 1;
+  policy::RoleCatalog catalog(p, tree.value(), nullptr, catalog_options);
+  exec::QueryServiceOptions options;
+  options.catalog = &catalog;
+  options.max_batch = 1;
+  exec::QueryService service(tree.value(), options);
+
+  exec::SubmitOptions as_a;
+  as_a.role = a;
+  ASSERT_TRUE(service.Submit("a//b", as_a).get().ok());
+  const int64_t interned = catalog.plane_stats().configs_interned;
+  EXPECT_GT(interned, 0);
+  ASSERT_TRUE(service.Submit("a//b", as_a).get().ok());
+  EXPECT_EQ(catalog.plane_stats().configs_interned, interned);
+
+  std::weak_ptr<policy::RoleCatalog::Entry> entry_a =
+      catalog.Acquire(a).value();
+  exec::SubmitOptions as_b;
+  as_b.role = b;
+  ASSERT_TRUE(service.Submit("a//b", as_b).get().ok());
+  EXPECT_EQ(catalog.stats().resident, 1);
+  EXPECT_TRUE(entry_a.expired());
+}
+
 // Concurrent role registration + eviction stress: 10 roles, a catalog that
 // holds at most 3 partitions, and 8 client threads hammering role-scoped
 // queries. Every answer must still match the per-role oracle computed up
@@ -328,14 +370,15 @@ TEST(AuthzStressTest, ConcurrentAcquireEvictionKeepsAnswersRight) {
     EXPECT_EQ(mismatches.load(), 0);
     EXPECT_EQ(service.stats().role_queries, kThreads * kPerThread);
 
-    // While the service lives, its cached evaluators PIN role partitions, so
-    // residency may exceed the capacity -- in-use entries are never dropped.
+    // Only batches in flight pin role partitions: a batch mixing roles can
+    // push residency past the capacity, since in-use entries are never
+    // dropped, until a later acquisition's sweep.
     EXPECT_GT(catalog.stats().planes_evicted, 0);  // churn really happened
     EXPECT_GT(catalog.stats().compiles, 10);       // evictees recompiled
   }
 
-  // With the service (and its evaluator pins) gone, the next acquisition's
-  // eviction sweep can reclaim everything beyond the cap.
+  // With no batch in flight, the next acquisition's eviction sweep can
+  // reclaim everything beyond the cap.
   ASSERT_TRUE(catalog.Acquire(RoleId{0}).ok());
   EXPECT_LE(catalog.stats().resident, 3);
 }
