@@ -110,12 +110,6 @@ StatusOr<DecodedSnapshot> RecoverImpl(const std::string& dir, bool repair,
     }
   }
 
-  if (report->records_replayed > 0) {
-    // The snapshot's plane mirrors the snapshot's tree; replay moved past
-    // it. Build is the bit-identity oracle, so recovery lands on exactly
-    // the plane the publisher would have served.
-    snap.plane = xml::DocPlane::Build(snap.tree);
-  }
   snap.version = version;
   return snap;
 }
@@ -129,11 +123,14 @@ StatusOr<xml::PlaneEpoch> Recover(const std::string& dir,
   *report = RecoveryReport{};
   auto decoded = RecoverImpl(dir, /*repair=*/true, report, nullptr);
   if (!decoded.ok()) return decoded.status();
+  // The plane is derived once, after replay. Build is the bit-identity
+  // oracle, so recovery lands on exactly the plane the publisher served.
   xml::PlaneEpoch epoch;
   epoch.version = decoded.value().version;
-  epoch.tree = std::make_shared<const xml::Tree>(std::move(decoded.value().tree));
+  epoch.tree =
+      std::make_shared<const xml::Tree>(std::move(decoded.value().tree));
   epoch.plane =
-      std::make_shared<const xml::DocPlane>(std::move(decoded.value().plane));
+      std::make_shared<const xml::DocPlane>(xml::DocPlane::Build(*epoch.tree));
   return epoch;
 }
 
@@ -163,17 +160,18 @@ StatusOr<std::unique_ptr<DurableEpochStore>> DurableEpochStore::Open(
   if (fresh) {
     // Nothing durable yet: persist `initial` as version 0 BEFORE serving,
     // so an acknowledged Open can always be recovered.
-    xml::DocPlane plane = xml::DocPlane::Build(initial);
-    SMOQE_RETURN_IF_ERROR(WriteSnapshot(dir, initial, plane, 0));
+    SMOQE_RETURN_IF_ERROR(WriteSnapshot(dir, initial, 0));
     store->stats_.snapshots_written = 1;
-    store->publisher_ = std::make_unique<xml::EpochPublisher>(
-        std::move(initial), std::move(plane), 0);
+    store->publisher_ =
+        std::make_unique<xml::EpochPublisher>(std::move(initial));
   } else {
     auto decoded =
         RecoverImpl(dir, /*repair=*/true, &store->recovery_, nullptr);
     if (!decoded.ok()) return decoded.status();
+    // As in Recover: the plane is built once, from the replayed tree.
+    xml::DocPlane plane = xml::DocPlane::Build(decoded.value().tree);
     store->publisher_ = std::make_unique<xml::EpochPublisher>(
-        std::move(decoded.value().tree), std::move(decoded.value().plane),
+        std::move(decoded.value().tree), std::move(plane),
         decoded.value().version);
   }
 
@@ -243,7 +241,7 @@ Status DurableEpochStore::Apply(const xml::TreeDelta& delta) {
 
 Status DurableEpochStore::Compact() {
   const xml::PlaneEpoch epoch = publisher_->Snapshot();
-  Status s = WriteSnapshot(dir_, *epoch.tree, *epoch.plane, epoch.version);
+  Status s = WriteSnapshot(dir_, *epoch.tree, epoch.version);
   if (!s.ok()) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.compactions_failed;

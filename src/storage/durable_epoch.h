@@ -4,7 +4,7 @@
 // On-disk layout of a storage directory:
 //
 //   MANIFEST                      newest durable snapshot (atomic pointer)
-//   snapshot-<version>.snap       checksummed (Tree, DocPlane, version)
+//   snapshot-<version>.snap       checksummed (version, Tree); no plane
 //   wal.log                       delta records from the oldest kept
 //                                 snapshot's version onward
 //   *.tmp                         in-flight writes a crash abandoned
@@ -12,8 +12,9 @@
 // Recover(dir) = load the newest snapshot whose checksum verifies (fall
 // back to an older one when the newest is corrupt), replay the WAL's valid
 // prefix from that version, truncate any torn/corrupt tail instead of
-// failing, and return the recovered epoch. Fsck is the same walk without
-// the repairs -- what `smoqe_fsck` runs. DurableEpochStore wraps an
+// failing, and return the recovered epoch, whose plane is built once from
+// the replayed tree. Fsck is the same walk without the repairs and without
+// the plane -- what `smoqe_fsck` runs. DurableEpochStore wraps an
 // EpochPublisher with the WAL-before-publish ordering (wal.h design note)
 // and periodic snapshot compaction.
 

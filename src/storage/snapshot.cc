@@ -103,116 +103,64 @@ struct TreeCodec {
         !cur->ReadI32(&tree->num_detached_)) {
       return Status::ParseError("snapshot: truncated tree trailer");
     }
-    if (tree->root_ < -1 || tree->root_ >= nc || tree->num_elements_ < 0 ||
-        tree->num_elements_ > nc || tree->num_detached_ < 0 ||
-        tree->num_detached_ > nc) {
-      return Status::ParseError("snapshot: tree trailer out of range");
-    }
-    return Status::OK();
-  }
-};
-
-// Friend of DocPlane (see doc_plane.h): the columns verbatim, so recovery
-// skips the O(N) Build when no WAL replay follows the snapshot.
-struct PlaneCodec {
-  static void PutVec32(std::string* out, const std::vector<int32_t>& v) {
-    common::PutU32(out, static_cast<uint32_t>(v.size()));
-    for (int32_t x : v) common::PutI32(out, x);
+    return CheckShape(*tree);
   }
 
-  static bool ReadVec32(common::Cursor* cur, std::vector<int32_t>* v) {
-    uint32_t count = 0;
-    if (!cur->ReadU32(&count) || count > cur->remaining() / 4) return false;
-    v->reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      int32_t x = 0;
-      if (!cur->ReadI32(&x)) return false;
-      v->push_back(x);
-    }
-    return true;
-  }
-
-  static void Encode(const DocPlane& plane, std::string* out) {
-    PutVec32(out, plane.labels_);
-    PutVec32(out, plane.parent_);
-    PutVec32(out, plane.depth_);
-    PutVec32(out, plane.extent_);
-    common::PutU32(out, static_cast<uint32_t>(plane.text_bits_.size()));
-    for (uint64_t w : plane.text_bits_) common::PutU64(out, w);
-    PutVec32(out, plane.node_of_);
-    PutVec32(out, plane.pos_of_);
-    PutVec32(out, plane.posting_pool_);
-    common::PutU32(out, static_cast<uint32_t>(plane.posting_ref_.size()));
-    for (const auto& [offset, count] : plane.posting_ref_) {
-      common::PutI32(out, offset);
-      common::PutI32(out, count);
-    }
-  }
-
-  static Status Decode(common::Cursor* cur, const Tree& tree,
-                       DocPlane* plane) {
-    uint32_t word_count = 0;
-    if (!ReadVec32(cur, &plane->labels_) || !ReadVec32(cur, &plane->parent_) ||
-        !ReadVec32(cur, &plane->depth_) || !ReadVec32(cur, &plane->extent_) ||
-        !cur->ReadU32(&word_count) || word_count > cur->remaining() / 8) {
-      return Status::ParseError("snapshot: truncated plane columns");
-    }
-    plane->text_bits_.reserve(word_count);
-    for (uint32_t i = 0; i < word_count; ++i) {
-      uint64_t w = 0;
-      if (!cur->ReadU64(&w)) {
-        return Status::ParseError("snapshot: truncated text bits");
+  // The range checks keep every field in bounds; this keeps every walk
+  // finite. The arena must be a forest rooted at slot 0 whose child lists
+  // agree with the parent links ("parents precede children", tree.h) and
+  // whose counters match what the root reaches. Detached slots are checked
+  // too: the publisher's size estimate walks them. O(N), no recursion.
+  static Status CheckShape(const Tree& tree) {
+    const std::vector<Node>& nodes = tree.nodes_;
+    const auto nc = static_cast<NodeId>(nodes.size());
+    auto bad_list = [] {
+      return Status::ParseError("snapshot: child list disagrees with parents");
+    };
+    int32_t listed = 0;
+    int32_t parented = 0;
+    int32_t reached = 0;
+    int32_t elements = 0;
+    std::vector<uint8_t> reachable(nodes.size(), 0);
+    for (NodeId id = 0; id < nc; ++id) {
+      const Node& n = nodes[id];
+      const bool text = n.kind == NodeKind::kText;
+      if (n.parent >= id) {
+        return Status::ParseError("snapshot: parent does not precede child");
       }
-      plane->text_bits_.push_back(w);
-    }
-    uint32_t ref_count = 0;
-    if (!ReadVec32(cur, &plane->node_of_) ||
-        !ReadVec32(cur, &plane->pos_of_) ||
-        !ReadVec32(cur, &plane->posting_pool_) ||
-        !cur->ReadU32(&ref_count) || ref_count > cur->remaining() / 8) {
-      return Status::ParseError("snapshot: truncated plane postings");
-    }
-    plane->posting_ref_.reserve(ref_count);
-    for (uint32_t i = 0; i < ref_count; ++i) {
-      int32_t offset = 0, count = 0;
-      if (!cur->ReadI32(&offset) || !cur->ReadI32(&count)) {
-        return Status::ParseError("snapshot: truncated posting ref");
+      if (text ? (n.first_child != kNullNode || n.text < 0) : n.label < 0) {
+        return Status::ParseError("snapshot: malformed text or element slot");
       }
-      plane->posting_ref_.emplace_back(offset, count);
-    }
-
-    // Cross-field sanity: every accessor the evaluators use must be in
-    // bounds. The CRC already rules out disk corruption; these checks rule
-    // out a maliciously crafted file doing more than failing to load.
-    const auto n = static_cast<int32_t>(plane->labels_.size());
-    if (n != tree.CountElements() ||
-        plane->parent_.size() != static_cast<size_t>(n) ||
-        plane->depth_.size() != static_cast<size_t>(n) ||
-        plane->extent_.size() != static_cast<size_t>(n) ||
-        plane->node_of_.size() != static_cast<size_t>(n) ||
-        plane->text_bits_.size() !=
-            static_cast<size_t>(n + 63) / 64 ||
-        plane->pos_of_.size() != static_cast<size_t>(tree.size())) {
-      return Status::ParseError("snapshot: plane/tree size mismatch");
-    }
-    for (int32_t pos = 0; pos < n; ++pos) {
-      if (plane->parent_[pos] < -1 || plane->parent_[pos] >= n ||
-          plane->extent_[pos] < 0 || plane->extent_[pos] >= n - pos ||
-          plane->node_of_[pos] < 0 || plane->node_of_[pos] >= tree.size()) {
-        return Status::ParseError("snapshot: plane column out of range");
+      // child_index is fixed per slot, so a list that comes back to a slot
+      // (a cycle) fails the index check there.
+      NodeId last = kNullNode;
+      int32_t index = 0;
+      for (NodeId c = n.first_child; c != kNullNode;
+           c = nodes[c].next_sibling) {
+        if (nodes[c].parent != id || nodes[c].child_index != ++index) {
+          return bad_list();
+        }
+        last = c;
+      }
+      if (n.last_child != last ||
+          (n.parent == kNullNode && n.next_sibling != kNullNode)) {
+        return bad_list();
+      }
+      listed += index;
+      if (n.parent != kNullNode) ++parented;
+      if (id == 0 || (n.parent != kNullNode && reachable[n.parent] != 0)) {
+        reachable[id] = 1;
+        ++reached;
+        if (!text) ++elements;
       }
     }
-    for (int32_t p : plane->pos_of_) {
-      if (p < -1 || p >= n) {
-        return Status::ParseError("snapshot: pos_of out of range");
-      }
-    }
-    const auto pool = static_cast<int64_t>(plane->posting_pool_.size());
-    for (const auto& [offset, count] : plane->posting_ref_) {
-      if (offset < 0 || count < 0 ||
-          static_cast<int64_t>(offset) + count > pool) {
-        return Status::ParseError("snapshot: posting ref out of range");
-      }
+    // A listed slot names its list's owner as parent and is listed once, so
+    // equal counts mean every parented slot is in its parent's list.
+    if (listed != parented) return bad_list();
+    if (tree.root_ != (nc > 0 ? 0 : kNullNode) ||
+        (nc > 0 && nodes[0].kind != NodeKind::kElement) ||
+        tree.num_elements_ != elements || tree.num_detached_ != nc - reached) {
+      return Status::ParseError("snapshot: root or counters disagree");
     }
     return Status::OK();
   }
@@ -270,12 +218,10 @@ std::string SnapshotFileName(uint64_t version) {
   return buf;
 }
 
-std::string EncodeSnapshotFile(const xml::Tree& tree,
-                               const xml::DocPlane& plane, uint64_t version) {
+std::string EncodeSnapshotFile(const xml::Tree& tree, uint64_t version) {
   std::string payload;
   common::PutU64(&payload, version);
   xml::TreeCodec::Encode(tree, &payload);
-  xml::PlaneCodec::Encode(plane, &payload);
   return Frame(kSnapshotMagic, std::move(payload));
 }
 
@@ -288,7 +234,6 @@ StatusOr<DecodedSnapshot> DecodeSnapshotFile(std::string_view bytes) {
     return Status::ParseError("snapshot: truncated version");
   }
   SMOQE_RETURN_IF_ERROR(xml::TreeCodec::Decode(&cur, &snap.tree));
-  SMOQE_RETURN_IF_ERROR(xml::PlaneCodec::Decode(&cur, snap.tree, &snap.plane));
   if (cur.remaining() != 0) {
     return Status::ParseError("snapshot: trailing bytes");
   }
@@ -296,10 +241,10 @@ StatusOr<DecodedSnapshot> DecodeSnapshotFile(std::string_view bytes) {
 }
 
 Status WriteSnapshot(const std::string& dir, const xml::Tree& tree,
-                     const xml::DocPlane& plane, uint64_t version) {
+                     uint64_t version) {
   const std::string file = SnapshotFileName(version);
   SMOQE_RETURN_IF_ERROR(
-      WriteFileAtomic(dir, file, EncodeSnapshotFile(tree, plane, version),
+      WriteFileAtomic(dir, file, EncodeSnapshotFile(tree, version),
                       FaultSite::kSnapshotWrite, FaultSite::kSnapshotRename));
   return WriteManifest(dir, {version, file});
 }

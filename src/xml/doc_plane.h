@@ -126,10 +126,6 @@ class DocPlane {
   class Maintainer;
 
  private:
-  // Storage-layer snapshot codec (storage/snapshot.cc): serializes the
-  // columns verbatim so recovery reloads the plane without an O(N) Build.
-  friend struct PlaneCodec;
-
   std::vector<LabelId> labels_;
   std::vector<int32_t> parent_;
   std::vector<int32_t> depth_;

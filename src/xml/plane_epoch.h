@@ -65,9 +65,10 @@ class EpochPublisher {
   /// plane.
   explicit EpochPublisher(Tree initial);
 
-  /// Resumes publishing from a recovered epoch: takes ownership of the
-  /// tree AND its already-built plane at `version` (storage::Recover hands
-  /// these back; rebuilding the plane here would double the recovery cost).
+  /// Resumes publishing at `version`: takes ownership of the tree AND its
+  /// plane. DurableEpochStore::Open builds the plane once from the tree it
+  /// replayed, and a caller resuming from a recovered PlaneEpoch already
+  /// holds one; taking it here keeps either from building it twice.
   /// `plane` must mirror `tree` exactly.
   EpochPublisher(Tree initial, DocPlane plane, uint64_t version);
 

@@ -19,8 +19,8 @@
 // order). Mutating a tree that concurrent readers are traversing is a data
 // race; xml::EpochPublisher (plane_epoch.h) provides the copy-on-write
 // snapshot discipline that lets readers and one writer coexist, and
-// xml::TreeDelta (tree_delta.h) is the composable/invertible edit unit the
-// publisher applies.
+// xml::TreeDelta (tree_delta.h) is the versioned edit unit the publisher
+// applies.
 
 #ifndef SMOQE_XML_TREE_H_
 #define SMOQE_XML_TREE_H_

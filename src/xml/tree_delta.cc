@@ -1,7 +1,5 @@
 #include "xml/tree_delta.h"
 
-#include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/codec.h"
@@ -24,11 +22,9 @@ Status OpError(size_t index, const char* what) {
                                     ": " + what);
 }
 
-/// Capture that also reports each item's source NodeId (parallel to
-/// items). ApplyTo's inverse pass needs the ids to remap undo targets that
-/// point into a deleted-then-reinserted subtree.
-Fragment CaptureWithIds(const Tree& tree, NodeId root,
-                        std::vector<NodeId>* ids) {
+}  // namespace
+
+Fragment Fragment::Capture(const Tree& tree, NodeId root) {
   Fragment out;
   // Explicit (node, fragment-parent-index) stack; children re-pushed in
   // reverse so the items come out in document (pre)order.
@@ -37,13 +33,12 @@ Fragment CaptureWithIds(const Tree& tree, NodeId root,
   while (!stack.empty()) {
     auto [n, parent_idx] = stack.back();
     stack.pop_back();
-    Fragment::Item item;
+    Item item;
     item.is_text = !tree.is_element(n);
     item.parent = parent_idx;
     item.value = item.is_text ? tree.text_value(n) : tree.label_name(n);
     const int32_t idx = static_cast<int32_t>(out.items.size());
     out.items.push_back(std::move(item));
-    if (ids) ids->push_back(n);
     kids.clear();
     for (NodeId c = tree.first_child(n); c != kNullNode;
          c = tree.next_sibling(c)) {
@@ -54,12 +49,6 @@ Fragment CaptureWithIds(const Tree& tree, NodeId root,
     }
   }
   return out;
-}
-
-}  // namespace
-
-Fragment Fragment::Capture(const Tree& tree, NodeId root) {
-  return CaptureWithIds(tree, root, nullptr);
 }
 
 NodeId Fragment::Instantiate(Tree* tree, NodeId parent,
@@ -118,152 +107,52 @@ void TreeDelta::AddRelabel(NodeId node, std::string_view label) {
   ops_.push_back(std::move(op));
 }
 
-Status TreeDelta::ApplyTo(Tree* tree, DocPlane::Maintainer* maintainer,
-                          TreeDelta* inverse,
-                          std::vector<NodeId>* regions) const {
-  std::vector<DeltaOp> undo;  // forward order; reversed into `inverse`
-  // For each undo-insert, the source NodeId of every fragment item (the
-  // deleted subtree's ids); empty for other undo kinds. Feeds the remap
-  // pass below.
-  std::vector<std::vector<NodeId>> undo_ids;
+Status TreeDelta::ApplyTo(Tree* tree, DocPlane::Maintainer* maintainer) const {
   for (size_t i = 0; i < ops_.size(); ++i) {
     const DeltaOp& op = ops_[i];
-    NodeId region = kNullNode;
     switch (op.kind) {
-      case DeltaOpKind::kRelabel: {
+      case DeltaOpKind::kRelabel:
         if (!IsReachableElement(*tree, op.target)) {
           return OpError(i, "relabel target is not a reachable element");
         }
-        if (inverse) {
-          DeltaOp u;
-          u.kind = DeltaOpKind::kRelabel;
-          u.target = op.target;
-          u.label = tree->label_name(op.target);
-          undo.push_back(std::move(u));
-          undo_ids.emplace_back();
-        }
         tree->Relabel(op.target, op.label);
         if (maintainer) maintainer->ApplyRelabel(*tree, op.target);
-        region = tree->parent(op.target) == kNullNode
-                     ? op.target
-                     : tree->parent(op.target);
         break;
-      }
-      case DeltaOpKind::kDelete: {
+      case DeltaOpKind::kDelete:
         if (!IsReachableElement(*tree, op.target)) {
           return OpError(i, "delete victim is not a reachable element");
         }
         if (op.target == tree->root()) {
           return OpError(i, "cannot delete the root");
         }
-        region = tree->parent(op.target);
-        if (inverse) {
-          // The pre-image: where the subtree sat (by child slot, since
-          // reinsertion allocates fresh ids) and what it contained.
-          DeltaOp u;
-          u.kind = DeltaOpKind::kInsert;
-          u.target = region;
-          u.before_index = tree->child_index(op.target);
-          std::vector<NodeId> ids;
-          u.fragment = CaptureWithIds(*tree, op.target, &ids);
-          undo.push_back(std::move(u));
-          undo_ids.push_back(std::move(ids));
-        }
         tree->DetachSubtree(op.target);
         if (maintainer) maintainer->ApplyDelete(op.target);
         break;
-      }
       case DeltaOpKind::kInsert: {
         if (!IsReachableElement(*tree, op.target)) {
           return OpError(i, "insert parent is not a reachable element");
         }
-        if (op.fragment.empty() || op.fragment.items[0].is_text ||
-            op.fragment.items[0].parent != -1) {
-          return OpError(i, "fragment must be rooted at an element");
+        // The same shape a snapshot must have: an element root, parents
+        // before children, and nothing under a text item.
+        const std::vector<Fragment::Item>& items = op.fragment.items;
+        bool tree_shaped =
+            !items.empty() && !items[0].is_text && items[0].parent == -1;
+        for (size_t j = 1; tree_shaped && j < items.size(); ++j) {
+          const int32_t p = items[j].parent;
+          tree_shaped =
+              p >= 0 && static_cast<size_t>(p) < j && !items[p].is_text;
+        }
+        if (!tree_shaped) {
+          return OpError(i, "fragment is not an element-rooted tree");
         }
         const NodeId root =
             op.fragment.Instantiate(tree, op.target, op.before_index);
         if (maintainer) maintainer->ApplyInsert(*tree, root);
-        if (inverse) {
-          DeltaOp u;
-          u.kind = DeltaOpKind::kDelete;
-          u.target = root;
-          undo.push_back(std::move(u));
-          undo_ids.emplace_back();
-        }
-        region = op.target;
         break;
       }
     }
-    if (regions) regions->push_back(region);
-  }
-  if (inverse) {
-    // Undo ops recorded before a delete may target nodes INSIDE the deleted
-    // subtree; by the time they execute (inverse order), that subtree has
-    // been re-instantiated under FRESH ids and the recorded targets are
-    // tombstones. Instantiation is deterministic (fresh ids are allocated
-    // contiguously from the arena end, one per fragment item in order), so
-    // a dry run of the undo sequence on a scratch copy of the post-delta
-    // tree discovers exactly the ids the real inverse application will
-    // allocate -- remap the stale targets through it. Nested
-    // delete-inside-delete chains resolve naturally, since each simulated
-    // undo-insert extends the map before older undos consult it.
-    bool needs_remap = false;
-    for (const DeltaOp& u : undo) {
-      if (u.kind == DeltaOpKind::kInsert) {
-        needs_remap = true;
-        break;
-      }
-    }
-    if (needs_remap && undo.size() > 1) {
-      Tree sim = *tree;
-      std::unordered_map<NodeId, NodeId> remap;
-      for (size_t k = undo.size(); k-- > 0;) {
-        DeltaOp& u = undo[k];
-        auto it = remap.find(u.target);
-        if (it != remap.end()) u.target = it->second;
-        switch (u.kind) {
-          case DeltaOpKind::kRelabel:
-            sim.Relabel(u.target, u.label);
-            break;
-          case DeltaOpKind::kDelete:
-            sim.DetachSubtree(u.target);
-            break;
-          case DeltaOpKind::kInsert: {
-            const NodeId base = sim.size();
-            u.fragment.Instantiate(&sim, u.target, u.before_index);
-            const std::vector<NodeId>& ids = undo_ids[k];
-            for (size_t j = 0; j < ids.size(); ++j) {
-              remap[ids[j]] = base + static_cast<NodeId>(j);
-            }
-            break;
-          }
-        }
-      }
-    }
-    TreeDelta inv;
-    inv.from_version_ = to_version_;
-    inv.to_version_ = from_version_;
-    std::reverse(undo.begin(), undo.end());
-    inv.ops_ = std::move(undo);
-    *inverse = std::move(inv);
   }
   return Status::OK();
-}
-
-StatusOr<TreeDelta> TreeDelta::Compose(const TreeDelta& first,
-                                       const TreeDelta& second) {
-  if (first.to_version() != second.from_version()) {
-    return Status::FailedPrecondition(
-        "Compose: version mismatch (" + std::to_string(first.to_version()) +
-        " vs " + std::to_string(second.from_version()) + ")");
-  }
-  TreeDelta out;
-  out.from_version_ = first.from_version_;
-  out.to_version_ = second.to_version_;
-  out.ops_ = first.ops_;
-  out.ops_.insert(out.ops_.end(), second.ops_.begin(), second.ops_.end());
-  return out;
 }
 
 void TreeDelta::Serialize(std::string* out) const {

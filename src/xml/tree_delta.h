@@ -1,5 +1,4 @@
-// TreeDelta: the versioned, composable, invertible edit unit for mutable
-// documents.
+// TreeDelta: the versioned, forward-only edit unit for mutable documents.
 //
 // DESIGN NOTE (diff discipline for a world that was built frozen)
 // ---------------------------------------------------------------
@@ -8,8 +7,8 @@
 // document. Mutability therefore does NOT arrive as "call Relabel whenever
 // you like": it arrives as a diff discipline borrowed from Pacemaker's CIB
 // (the cluster information base ships every change as a versioned diff that
-// peers validate, apply, and can invert). A TreeDelta is an ordered list of
-// three op kinds over one tree:
+// peers validate before applying). A TreeDelta is an ordered list of three
+// op kinds over one tree:
 //
 //   insert   a whole Fragment (self-contained serialized subtree) becomes a
 //            new child of `target`, at 1-based child slot `before_index`
@@ -25,34 +24,24 @@
 // (plane_epoch.h) enforces that, exactly like the CIB rejects a patch whose
 // base revision does not match.
 //
-// Three properties make deltas more than a mutation log:
+// Two properties make deltas more than a mutation log:
 //
-//  * INVERTIBLE. ApplyTo captures each op's pre-image as it goes (the old
-//    label, the detached subtree as a Fragment, the fresh insert's slot)
-//    and hands back the inverse delta: ops inverted AND reversed, versions
-//    swapped. Applying delta then inverse yields a tree StructurallyEqual
-//    to the original (ids differ -- reinsertion allocates fresh arena
-//    slots, which is why inverse inserts address their slot by child index,
-//    not by NodeId). Undo ops that target a node inside a LATER-deleted
-//    subtree would address tombstones; ApplyTo dry-runs the undo sequence
-//    on a scratch copy and remaps those targets to the (deterministic) ids
-//    the re-instantiation will allocate.
-//  * COMPOSABLE. Compose(a, b) with a.to_version == b.from_version is just
-//    op concatenation, because arena ids are DETERMINISTIC: replaying the
-//    same op sequence on a structurally identical tree allocates the same
-//    ids, so b's id-addressed ops stay valid. The epoch publisher leans on
-//    the same determinism to recycle retired tree replicas by replay.
+//  * DETERMINISTIC IDS. Replaying the same op sequence on an id-for-id
+//    identical tree allocates the same arena ids (fresh inserts take
+//    contiguous ids at the arena end, one per fragment item in order), so
+//    a later delta's id-addressed ops stay valid under replay. Both
+//    replays rely on it: the epoch publisher rolls retired tree replicas
+//    forward through its delta log, and recovery replays the WAL onto a
+//    snapshot's arena.
 //  * PLANE-MAINTAINING. ApplyTo threads an optional DocPlane::Maintainer
 //    through the op loop, so the columnar plane is patched in lockstep with
-//    the tree instead of being rebuilt, and reports each op's REGION ROOT
-//    (the parent whose child list changed; the root for root-level edits) --
-//    the subtree a standing query must re-enter (exec/standing_query.h).
+//    the tree instead of being rebuilt.
 //
 // Validation is per-op, immediately before that op applies: targets must be
-// reachable elements (never the root for delete), fragments must be rooted
-// at an element. A failed op leaves the tree partially edited -- callers
-// that need all-or-nothing (the publisher) apply deltas to a private
-// replica and discard it on error.
+// reachable elements (never the root for delete), and fragments must be
+// trees rooted at an element with nothing under a text item. A failed op
+// leaves the tree partially edited -- callers that need all-or-nothing (the
+// publisher) apply deltas to a private replica and discard it on error.
 
 #ifndef SMOQE_XML_TREE_DELTA_H_
 #define SMOQE_XML_TREE_DELTA_H_
@@ -118,17 +107,10 @@ class TreeDelta {
   const std::vector<DeltaOp>& ops() const { return ops_; }
   bool empty() const { return ops_.empty(); }
 
-  /// Applies every op in order. Optionally patches `maintainer` in
-  /// lockstep, records the inverse delta into `inverse`, and appends each
-  /// op's region root to `regions` (parallel to ops()). Per-op validation;
-  /// on error the tree is partially edited (see the design note).
-  Status ApplyTo(Tree* tree, DocPlane::Maintainer* maintainer = nullptr,
-                 TreeDelta* inverse = nullptr,
-                 std::vector<NodeId>* regions = nullptr) const;
-
-  /// Concatenation: requires first.to_version() == second.from_version().
-  static StatusOr<TreeDelta> Compose(const TreeDelta& first,
-                                     const TreeDelta& second);
+  /// Applies every op in order, optionally patching `maintainer` in
+  /// lockstep. Per-op validation; on error the tree is partially edited
+  /// (see the design note).
+  Status ApplyTo(Tree* tree, DocPlane::Maintainer* maintainer = nullptr) const;
 
   /// Appends the binary wire form (the WAL record payload -- see
   /// storage/wal.h): versions, then each op with its fragment,

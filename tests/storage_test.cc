@@ -4,8 +4,9 @@
 // Property families:
 //  * Wire forms round-trip BIT-EXACTLY: a decoded snapshot's tree is
 //    id-for-id the encoded one (WAL deltas address NodeIds, so replay after
-//    recovery depends on it), its plane SameAs the original, and a
-//    serialized TreeDelta re-applies identically.
+//    recovery depends on it), and a serialized TreeDelta re-applies
+//    identically. A CRC-valid snapshot whose arena is not a tree is
+//    refused, one case per shape rule.
 //  * Recovery: WAL replay from a snapshot reaches the last durable version;
 //    torn/corrupt tails are truncated, not fatal; a corrupt newest snapshot
 //    falls back to the previous one; Fsck predicts exactly what Recover
@@ -16,7 +17,9 @@
 //    compaction failures are survivable.
 //  * Corruption fuzz: thousands of randomized bit flips / truncations over
 //    snapshot files, WAL files, and delta payloads decode to a Status or a
-//    value -- never a crash (the ASan CI job gives this teeth).
+//    value -- never a crash (the ASan CI job gives this teeth). Some
+//    snapshot mutations are re-framed with a valid CRC so they reach the
+//    tree decoder, and every tree it accepts is walked as recovery would.
 //  * The durable QueryService serves the recovered document and applies
 //    writes through the WAL-before-publish path.
 
@@ -28,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/fault_injection.h"
 #include "exec/query_service.h"
 #include "storage/crc32c.h"
@@ -167,6 +171,17 @@ void TruncateTo(const std::string& dir, const std::string& name, size_t len) {
   ASSERT_TRUE(storage::WriteFileAtomic(dir, name, mutated).ok());
 }
 
+// Recomputes the trailing CRC32C of a framed file image
+// ([magic u32][len u64][payload][crc32c u32]), so a patched payload passes
+// the checksum and only the decoder can refuse it.
+std::string Reframe(std::string bytes) {
+  const uint32_t crc =
+      storage::Crc32c(std::string_view(bytes).substr(12, bytes.size() - 16));
+  bytes.resize(bytes.size() - 4);
+  common::PutU32(&bytes, crc);
+  return bytes;
+}
+
 // ------------------------------------------------------------- crc32c --
 
 TEST(Crc32cTest, KnownVectorsAndIncrementalExtend) {
@@ -212,7 +227,8 @@ TEST(DeltaWireTest, TruncationsAndGarbageYieldStatusNotCrash) {
   std::string wire;
   delta.Serialize(&wire);
   for (size_t len = 0; len < wire.size(); ++len) {
-    auto decoded = TreeDelta::Deserialize(std::string_view(wire).substr(0, len));
+    auto decoded =
+        TreeDelta::Deserialize(std::string_view(wire).substr(0, len));
     EXPECT_FALSE(decoded.ok()) << "prefix of length " << len << " decoded";
   }
   // Trailing garbage is rejected too: a record's length frame is exact.
@@ -230,16 +246,14 @@ TEST(SnapshotTest, RoundTripIsIdForIdExact) {
     // detached slots, not just the reachable shape.
     TreeDelta edits = RandomDelta(tree, 0, 3, rng);
     ASSERT_TRUE(edits.ApplyTo(&tree).ok());
-    xml::DocPlane plane = xml::DocPlane::Build(tree);
     const uint64_t version = 17 + round;
 
-    const std::string bytes = storage::EncodeSnapshotFile(tree, plane, version);
+    const std::string bytes = storage::EncodeSnapshotFile(tree, version);
     auto decoded = storage::DecodeSnapshotFile(bytes);
     ASSERT_TRUE(decoded.ok()) << decoded.status().message();
     EXPECT_EQ(decoded.value().version, version);
     EXPECT_EQ(decoded.value().tree.size(), tree.size());
     EXPECT_EQ(xml::WriteXml(decoded.value().tree), xml::WriteXml(tree));
-    EXPECT_TRUE(decoded.value().plane.SameAs(plane));
 
     // The id-for-id property the WAL depends on: one more delta, recorded
     // against the original, applies to the decoded tree with an identical
@@ -254,12 +268,83 @@ TEST(SnapshotTest, RoundTripIsIdForIdExact) {
   }
 }
 
+TEST(SnapshotTest, DecodeRejectsArenasThatAreNotTrees) {
+  // Each case patches one int32 of a valid image -- a node field or a tree
+  // counter -- and re-frames it with a correct CRC, so the checksum passes
+  // and the decoder's shape check must refuse it.
+  Tree tree;
+  const NodeId root = tree.AddRoot("a");
+  const NodeId b = tree.AddElement(root, "b");
+  const NodeId text = tree.AddText(b, "t");
+  const NodeId c = tree.AddElement(root, "c");
+  const NodeId d = tree.AddElement(root, "d");
+  tree.AddElement(d, "e");
+  tree.DetachSubtree(d);  // d and its child become detached slots
+  const std::string bytes = storage::EncodeSnapshotFile(tree, 7);
+  ASSERT_EQ(Reframe(bytes), bytes);
+  ASSERT_TRUE(storage::DecodeSnapshotFile(bytes).ok());
+
+  // Node slots follow the frame header, the version, the label table and
+  // the node count; each is a kind byte and seven int32s. The tree trailer
+  // (root, element count, detached count) ends the payload.
+  size_t nodes = 12 + 8 + 4 + 4;
+  for (int i = 0; i < tree.labels().size(); ++i) {
+    nodes += 4 + tree.labels().name(i).size();
+  }
+  constexpr size_t kLabel = 1;
+  constexpr size_t kText = 5;
+  constexpr size_t kParent = 9;
+  constexpr size_t kFirstChild = 13;
+  constexpr size_t kLastChild = 17;
+  constexpr size_t kNextSibling = 21;
+  constexpr size_t kChildIndex = 25;
+  auto slot = [nodes](NodeId id, size_t field) {
+    return nodes + 29 * static_cast<size_t>(id) + field;
+  };
+  const size_t trailer = bytes.size() - 4 - 12;
+  struct Case {
+    const char* what;
+    size_t offset;
+    int32_t value;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"detached slot's parent follows it", slot(d, kParent), d + 1,
+       "parent does not precede child"},
+      {"sibling self-loop", slot(c, kNextSibling), c, "child list"},
+      {"child cycle back to the root", slot(c, kNextSibling), root,
+       "child list"},
+      {"parent disagrees with its list", slot(c, kParent), b, "child list"},
+      {"parented slot missing from its list", slot(d, kParent), root,
+       "child list"},
+      {"child_index disagrees", slot(c, kChildIndex), 3, "child list"},
+      {"last_child disagrees", slot(root, kLastChild), b, "child list"},
+      {"text slot with a child", slot(text, kFirstChild), c, "malformed"},
+      {"text slot without a text index", slot(text, kText), -1, "malformed"},
+      {"element slot without a label", slot(c, kLabel), -1, "malformed"},
+      {"root not at slot 0", trailer, b, "root or counters"},
+      {"element count disagrees", trailer + 4, 4, "root or counters"},
+      {"detached count disagrees", trailer + 8, 1, "root or counters"},
+  };
+  for (const Case& k : cases) {
+    std::string patched = bytes;
+    std::string field;
+    common::PutI32(&field, k.value);
+    patched.replace(k.offset, 4, field);
+    auto decoded = storage::DecodeSnapshotFile(Reframe(std::move(patched)));
+    EXPECT_FALSE(decoded.ok()) << k.what;
+    if (decoded.ok()) continue;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << k.what;
+    EXPECT_NE(decoded.status().message().find(k.error), std::string::npos)
+        << k.what << ": " << decoded.status().message();
+  }
+}
+
 TEST(SnapshotTest, ManifestTracksNewestAndListSortsNewestFirst) {
   const std::string dir = FreshDir("manifest");
   Tree tree = RandomTree(15, 3);
-  xml::DocPlane plane = xml::DocPlane::Build(tree);
   for (uint64_t v : {5u, 1u, 9u}) {
-    ASSERT_TRUE(storage::WriteSnapshot(dir, tree, plane, v).ok());
+    ASSERT_TRUE(storage::WriteSnapshot(dir, tree, v).ok());
   }
   auto manifest = storage::ReadManifest(dir);
   ASSERT_TRUE(manifest.ok()) << manifest.status().message();
@@ -333,8 +418,7 @@ TEST(WalTest, AppendScanRoundTripAndTornTail) {
 // Returns the tree as of version 2 (the last intact record's outcome).
 Tree BuildTornDir(const std::string& dir, uint64_t seed) {
   Tree tree = RandomTree(30, seed);
-  xml::DocPlane plane = xml::DocPlane::Build(tree);
-  EXPECT_TRUE(storage::WriteSnapshot(dir, tree, plane, 0).ok());
+  EXPECT_TRUE(storage::WriteSnapshot(dir, tree, 0).ok());
   const std::string path = dir + "/" + storage::kWalName;
   std::mt19937_64 rng(seed);
   auto wal = storage::WalWriter::Open(path, 0);
@@ -401,8 +485,7 @@ TEST(RecoveryTest, ReplaysWalTruncatesTornTailAndFsckAgrees) {
 TEST(RecoveryTest, CorruptNewestSnapshotFallsBackToPrevious) {
   const std::string dir = FreshDir("recover_fallback");
   Tree tree = RandomTree(30, 9);
-  xml::DocPlane plane = xml::DocPlane::Build(tree);
-  ASSERT_TRUE(storage::WriteSnapshot(dir, tree, plane, 0).ok());
+  ASSERT_TRUE(storage::WriteSnapshot(dir, tree, 0).ok());
 
   // Advance to version 2 with the WAL intact, snapshot at 2, then corrupt
   // that newest snapshot: recovery must fall back to v0 and REPLAY the WAL
@@ -417,9 +500,7 @@ TEST(RecoveryTest, CorruptNewestSnapshotFallsBackToPrevious) {
     ASSERT_TRUE(wal.value()->Sync().ok());
     ASSERT_TRUE(delta.ApplyTo(&current).ok());
   }
-  ASSERT_TRUE(
-      storage::WriteSnapshot(dir, current, xml::DocPlane::Build(current), 2)
-          .ok());
+  ASSERT_TRUE(storage::WriteSnapshot(dir, current, 2).ok());
   FlipByte(dir, storage::SnapshotFileName(2), 100);
 
   storage::RecoveryReport report;
@@ -649,14 +730,15 @@ TEST(CorruptionFuzzTest, NoMutatedInputEverCrashesADecoder) {
   // 3000 randomized corruptions across the three decoders. The assertion is
   // the weakest possible -- "returned" -- because the property under test is
   // memory safety: every iteration must yield a value or a Status, and the
-  // ASan job turns any overread into a failure.
+  // ASan job turns any overread into a failure. Half the snapshot inputs
+  // flip bits inside the payload and are re-framed with a valid CRC, so
+  // they reach the tree decoder; every tree it accepts is then walked the
+  // way recovery walks it, which an arena that is not a tree would loop in.
   std::mt19937_64 rng(0xF022);
   Tree tree = RandomTree(35, 0xF022);
   TreeDelta edits = RandomDelta(tree, 0, 3, rng);
   EXPECT_TRUE(edits.ApplyTo(&tree).ok());
-  xml::DocPlane plane = xml::DocPlane::Build(tree);
-  const std::string snapshot_bytes =
-      storage::EncodeSnapshotFile(tree, plane, 42);
+  const std::string snapshot_bytes = storage::EncodeSnapshotFile(tree, 42);
 
   std::string delta_bytes;
   RandomDelta(tree, 42, 4, rng).Serialize(&delta_bytes);
@@ -702,12 +784,37 @@ TEST(CorruptionFuzzTest, NoMutatedInputEverCrashesADecoder) {
     return m;
   };
 
+  auto flip_payload = [&rng](const std::string& original) {
+    std::string m = original;
+    for (uint64_t flips = 1 + rng() % 4; flips > 0; --flips) {
+      m[12 + rng() % (m.size() - 16)] ^= static_cast<char>(1u << (rng() % 8));
+    }
+    return Reframe(std::move(m));
+  };
+
   int decoded_fine = 0;
+  int refused_past_crc = 0;
   for (int iter = 0; iter < 3000; ++iter) {
     switch (iter % 3) {
       case 0: {
-        auto r = storage::DecodeSnapshotFile(mutate(snapshot_bytes));
-        decoded_fine += r.ok() ? 1 : 0;
+        const bool reframed = iter % 2 == 0;
+        const std::string input =
+            reframed ? flip_payload(snapshot_bytes) : mutate(snapshot_bytes);
+        auto r = storage::DecodeSnapshotFile(input);
+        if (r.ok()) {
+          ++decoded_fine;
+          const Tree& accepted = r.value().tree;
+          EXPECT_EQ(xml::DocPlane::Build(accepted).size(),
+                    accepted.CountElements());
+          EXPECT_FALSE(xml::WriteXml(accepted).empty());
+        } else if (reframed) {
+          // The frame is valid, so the refusal must come from the decoder.
+          const std::string& why = r.status().message();
+          EXPECT_EQ(why.find("checksum"), std::string::npos) << why;
+          EXPECT_EQ(why.find("length"), std::string::npos) << why;
+          EXPECT_EQ(why.find("magic"), std::string::npos) << why;
+          ++refused_past_crc;
+        }
         break;
       }
       case 1: {
@@ -731,8 +838,10 @@ TEST(CorruptionFuzzTest, NoMutatedInputEverCrashesADecoder) {
     }
   }
   // Sanity: the harness is actually exercising both outcomes (some inputs
-  // survive mutation -- e.g. WAL prefixes ahead of a truncation point).
+  // survive mutation -- e.g. WAL prefixes ahead of a truncation point), and
+  // re-framed snapshots get past the CRC into the tree decoder.
   EXPECT_GT(decoded_fine, 0);
+  EXPECT_GT(refused_past_crc, 0);
 }
 
 // ------------------------------------------- durable query service --
