@@ -18,7 +18,10 @@
 //    mapped back through the binding. This is what a system without query
 //    rewriting must do (or pay N materialized copies of resident memory);
 //  * plane_bytes / resident_roles -- catalog plane-store memory after the
-//    warm phase (the price of keeping a role hot).
+//    warm phase (the price of keeping a role hot). plane_bytes is the sum
+//    of TransitionPlane::ApproxBytes(): the heap blocks the planes have
+//    allocated, unused chunk slots and malloc's block rounding included,
+//    not just the bytes of the interned state.
 //
 // Two PRE-TIMING gates abort the run (exit 1) before any number is reported:
 //  1. bit-identity -- every sampled (role, query) served answer must equal

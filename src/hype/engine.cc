@@ -78,7 +78,7 @@ void HypeEngine::EnterNode() {
   ++stats_.elements_visited;
   Frame& frame = *frames_[depth_];
   const Config& config = trans_->config(frame.config);
-  stats_.afa_state_requests += static_cast<int64_t>(config.freq.size());
+  stats_.afa_state_requests += static_cast<int64_t>(config.freq().size());
 
   bool opens_region = !frame.entered_in_region && config.any_annotated;
   frame.region = frame.entered_in_region || opens_region;
@@ -102,28 +102,30 @@ void HypeEngine::EnterNode() {
     // (final) must materialize; connectivity through barren nodes is wired
     // directly via the composed mappings, and their ε-closure is already
     // folded into the transition's label edges (InternAux).
-    if ((config.any_annotated || config.has_final) && !config.mstates.empty()) {
-      frame.vcount = static_cast<int32_t>(config.mstates.size());
+    if ((config.any_annotated || config.has_final) &&
+        !config.mstates().empty()) {
+      frame.vcount = static_cast<int32_t>(config.mstates().size());
       frame.vbase = cans_.AddVertexRange(frame.vcount);
       if (opens_region) {
         // When a region opens here, only the unconditionally-valid entry
         // points (label-move seeds / the NFA start at the context) may seed
         // phase two; everything else must be reached through recorded
         // ε-edges so a deleted guard disconnects what hides behind it.
+        const std::span<const char> seeds = config.seeds();
         for (int32_t i = 0; i < frame.vcount; ++i) {
-          if (config.seeds[i]) cans_.MarkInitial(frame.vbase + i);
+          if (seeds[i]) cans_.MarkInitial(frame.vbase + i);
         }
       }
       if (config.any_annotated) {
-        for (auto [i, j] : config.eps_pairs) {
+        for (auto [i, j] : config.eps_pairs()) {
           cans_.AddEdge(frame.vbase + i, frame.vbase + j);
         }
       }
     }
   }
 
-  if (!config.freq.empty() || !frame.fvals.empty()) {
-    frame.fvals.assign(config.freq.size(), 0);
+  if (!config.freq().empty() || !frame.fvals.empty()) {
+    frame.fvals.assign(config.freq().size(), 0);
   }
 }
 
@@ -134,11 +136,11 @@ void HypeEngine::EnterNode() {
 void HypeEngine::ExitNode(xml::NodeId node) {
   Frame& frame = *frames_[depth_];
   const Config& config = trans_->config(frame.config);
-  const std::vector<StateId>& freq = config.freq;
+  const std::span<const StateId> freq = config.freq();
 
   if (!freq.empty()) {
     const xml::DocPlane* plane = options_.plane;
-    for (int j : config.finals) {
+    for (int j : config.finals()) {
       const AfaState& a = mfa_.afa[freq[j]];
       // Text-presence prefilter: no text child (one plane bit) means a
       // text() = 'c' predicate cannot hold -- skip the child walk and the
@@ -154,15 +156,17 @@ void HypeEngine::ExitNode(xml::NodeId node) {
     // order: operands precede operators except across genuine Kleene
     // cycles, where needs_iteration drives the loop to the (stratified)
     // fixpoint. A pruned operand (position -1) reads as false.
-    bool changed = !config.ops.empty();
+    const std::span<const Config::OpSpec> ops = config.ops();
+    const std::span<const int> operand_pos = config.operand_pos();
+    bool changed = !ops.empty();
     while (changed) {
       changed = false;
-      for (const Config::OpSpec& op : config.ops) {
+      for (const Config::OpSpec& op : ops) {
         char v;
         if (op.kind == AfaKind::kOr) {
           v = 0;
           for (int p = op.begin; p < op.end; ++p) {
-            int k = config.operand_pos[p];
+            int k = operand_pos[p];
             if (k >= 0 && frame.fvals[k]) {
               v = 1;
               break;
@@ -171,14 +175,14 @@ void HypeEngine::ExitNode(xml::NodeId node) {
         } else if (op.kind == AfaKind::kAnd) {
           v = 1;
           for (int p = op.begin; p < op.end; ++p) {
-            int k = config.operand_pos[p];
+            int k = operand_pos[p];
             if (k < 0 || !frame.fvals[k]) {
               v = 0;
               break;
             }
           }
         } else {  // kNot
-          int k = config.operand_pos[op.begin];
+          int k = operand_pos[op.begin];
           v = (k < 0 || !frame.fvals[k]) ? 1 : 0;
         }
         if (v != frame.fvals[op.idx]) {
@@ -192,15 +196,15 @@ void HypeEngine::ExitNode(xml::NodeId node) {
 
   // Delete vertices whose filter failed; report answers.
   if (frame.region) {
-    const std::vector<StateId>& mstates = config.mstates;
+    const std::span<const StateId> mstates = config.mstates();
     int64_t deleted_epoch = ++nfa_deleted_epoch_;
-    for (auto [i, pos] : config.annotated) {
+    for (auto [i, pos] : config.annotated()) {
       if (pos < 0 || !frame.fvals[pos]) {
         cans_.DeleteVertex(frame.vbase + i);
         nfa_deleted_mark_[mstates[i]] = deleted_epoch;
       }
     }
-    for (int i : config.final_mstates) {
+    for (int i : config.final_mstates()) {
       if (nfa_deleted_mark_[mstates[i]] != deleted_epoch) {
         cans_.SetAnswer(frame.vbase + i, node);
       }
@@ -212,14 +216,14 @@ void HypeEngine::ExitNode(xml::NodeId node) {
   // Label edges nearest-materialized-ancestor state --...--> this node's
   // state (composed across barren pass-through nodes).
   if (frame.vcount > 0 && frame.eff_aux >= 0) {
-    for (auto [i, j] : trans_->aux(frame.eff_aux).label_edges) {
+    for (auto [i, j] : trans_->aux(frame.eff_aux).label_edges()) {
       cans_.AddEdge(frame.eff_vbase + i, frame.vbase + j);
     }
   }
   if (depth_ > 0 && frame.aux >= 0) {
     Frame& parent = *frames_[depth_ - 1];
     // fstates↑: fold this node's truths into the parent's transition states.
-    for (auto [idx, k] : trans_->aux(frame.aux).fold_pairs) {
+    for (auto [idx, k] : trans_->aux(frame.aux).fold_pairs()) {
       if (!parent.fvals[idx] && frame.fvals[k]) parent.fvals[idx] = 1;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "common/fault_injection.h"
 #include "common/hashing.h"
@@ -14,15 +15,73 @@ using automata::kNoState;
 
 namespace {
 
-// Index of `id` in the sorted vector, or -1.
-int IndexOf(const std::vector<automata::StateId>& sorted,
-            automata::StateId id) {
+// Index of `id` in the sorted array, or -1.
+int IndexOf(std::span<const automata::StateId> sorted, automata::StateId id) {
   auto it = std::lower_bound(sorted.begin(), sorted.end(), id);
   if (it == sorted.end() || *it != id) return -1;
   return static_cast<int>(it - sorted.begin());
 }
 
+// One heap block of an `n`-byte request as glibc's malloc lays it out: an
+// 8-byte header, rounded up to 16 bytes, 32 at least. The plane makes many
+// small allocations, so the header and rounding are a quarter of its heap.
+int64_t Block(size_t n) {
+  return static_cast<int64_t>(
+      std::max<size_t>(32, (n + 8 + 15) & ~size_t{15}));
+}
+
+template <typename V>
+int64_t VectorBytes(const std::vector<V>& v) {
+  return v.capacity() == 0 ? 0 : Block(v.capacity() * sizeof(V));
+}
+
+// libstdc++ hash tables: a bucket array (held inline while there is one
+// bucket) and one node per entry holding a link pointer and the value
+// (integer keys cache no hash).
+template <typename Map>
+int64_t HashTableBytes(const Map& m) {
+  const int64_t buckets =
+      m.bucket_count() > 1 ? Block(m.bucket_count() * sizeof(void*)) : 0;
+  return buckets + static_cast<int64_t>(m.size()) *
+                       Block(sizeof(void*) + sizeof(typename Map::value_type));
+}
+
 }  // namespace
+
+TransitionPlane::Config::Config(const Arrays& arrays) {
+  const std::array<std::span<const std::byte>, kNumArrays> parts = {
+      std::as_bytes(arrays.mstates),       std::as_bytes(arrays.freq),
+      std::as_bytes(arrays.finals),        std::as_bytes(arrays.ftrans),
+      std::as_bytes(arrays.ops),           std::as_bytes(arrays.operand_pos),
+      std::as_bytes(arrays.annotated),     std::as_bytes(arrays.final_mstates),
+      std::as_bytes(arrays.eps_pairs),     std::as_bytes(arrays.seeds)};
+  uint32_t end = 0;
+  for (int k = 0; k < kNumArrays; ++k) {
+    end += static_cast<uint32_t>(parts[k].size());
+    end_[k] = end;
+  }
+  if (end == 0) return;
+  payload_ = std::make_unique_for_overwrite<std::byte[]>(end);
+  for (int k = 0; k < kNumArrays; ++k) {
+    if (parts[k].empty()) continue;
+    std::memcpy(payload_.get() + end_[k] - parts[k].size(), parts[k].data(),
+                parts[k].size());
+  }
+}
+
+// The slot size the MEMORY design note promises.
+static_assert(sizeof(TransitionPlane::Config) <= 96);
+
+TransitionPlane::TransAux::TransAux(std::span<const IndexPair> label_edges,
+                                    std::span<const IndexPair> fold_pairs)
+    : pairs_(std::make_unique_for_overwrite<IndexPair[]>(label_edges.size() +
+                                                         fold_pairs.size())),
+      num_label_edges_(static_cast<int32_t>(label_edges.size())),
+      num_fold_pairs_(static_cast<int32_t>(fold_pairs.size())) {
+  std::copy(label_edges.begin(), label_edges.end(), pairs_.get());
+  std::copy(fold_pairs.begin(), fold_pairs.end(),
+            pairs_.get() + num_label_edges_);
+}
 
 TransitionPlane::TransitionPlane(
     const xml::Tree& tree, const automata::Mfa& mfa,
@@ -193,49 +252,46 @@ int32_t TransitionPlane::InternConfigLocked() {
   for (StateId s : tmp_m_) h = HashCombine(h, static_cast<uint64_t>(s));
   for (char c : tmp_seeds_) h = HashCombine(h, static_cast<uint64_t>(c));
   for (StateId s : tmp_f_) h = HashCombine(h, static_cast<uint64_t>(s));
-  std::vector<int32_t>& bucket = config_buckets_[h];
-  for (int32_t id : bucket) {
-    const Config& c = configs_[id];
-    if (c.mstates == tmp_m_ && c.seeds == tmp_seeds_ && c.freq == tmp_f_) {
-      return id;
+  auto [first, last] = config_index_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    const Config& c = configs_[it->second];
+    if (std::ranges::equal(c.mstates(), tmp_m_) &&
+        std::ranges::equal(c.seeds(), tmp_seeds_) &&
+        std::ranges::equal(c.freq(), tmp_f_)) {
+      return it->second;
     }
   }
   const CompiledMfa& cm = *compiled_;
-  int32_t id = configs_.Append();
-  Config& config = configs_[id];
-  config.mstates = tmp_m_;
-  config.seeds = tmp_seeds_;
-  config.freq = tmp_f_;
-  config.dead = tmp_m_.empty() && tmp_f_.empty();
+  std::vector<IndexPair> annotated;
+  std::vector<int> final_mstates;
+  std::vector<IndexPair> eps_pairs;
   for (size_t i = 0; i < tmp_m_.size(); ++i) {
     StateId s = tmp_m_[i];
     if (cm.afa_entry[s] != kNoState) {
-      config.any_annotated = true;
-      config.annotated.push_back(
+      annotated.push_back(
           {static_cast<int>(i), IndexOf(tmp_f_, cm.afa_entry[s])});
     }
-    if (cm.IsNfaFinal(s)) {
-      config.has_final = true;
-      config.final_mstates.push_back(static_cast<int>(i));
-    }
+    if (cm.IsNfaFinal(s)) final_mstates.push_back(static_cast<int>(i));
     for (StateId e : cm.EpsOf(s)) {
       int j = IndexOf(tmp_m_, e);
-      if (j >= 0) config.eps_pairs.push_back({static_cast<int32_t>(i), j});
+      if (j >= 0) eps_pairs.push_back({static_cast<int32_t>(i), j});
     }
   }
   // Operator states first collected in freq order, then swept in stratified
   // rank order: operands precede operators except inside one SCC, where the
   // fixpoint loop takes over (needs_iteration).
+  std::vector<int> finals;
+  std::vector<Config::FreqTrans> ftrans;
   std::vector<int> op_order;
   for (size_t j = 0; j < tmp_f_.size(); ++j) {
     StateId u = tmp_f_[j];
     switch (cm.afa_kind[u]) {
       case AfaKind::kFinal:
-        config.finals.push_back(static_cast<int>(j));
+        finals.push_back(static_cast<int>(j));
         break;
       case AfaKind::kTrans:
-        config.ftrans.push_back({static_cast<int>(j), cm.afa_target[u],
-                                 afa_tree_label_[u], cm.afa_wild[u] != 0});
+        ftrans.push_back({static_cast<int>(j), cm.afa_target[u],
+                          afa_tree_label_[u], cm.afa_wild[u] != 0});
         break;
       default:
         op_order.push_back(static_cast<int>(j));
@@ -245,21 +301,39 @@ int32_t TransitionPlane::InternConfigLocked() {
   std::sort(op_order.begin(), op_order.end(), [&](int a, int b) {
     return cm.afa_rank[tmp_f_[a]] < cm.afa_rank[tmp_f_[b]];
   });
+  std::vector<Config::OpSpec> ops;
+  std::vector<int> operand_pos;
+  bool needs_iteration = false;
   for (int j : op_order) {
     StateId u = tmp_f_[j];
     Config::OpSpec op;
     op.kind = cm.afa_kind[u];
     op.idx = j;
-    op.begin = static_cast<int>(config.operand_pos.size());
+    op.begin = static_cast<int>(operand_pos.size());
     for (StateId o : cm.OperandsOf(u)) {
-      config.operand_pos.push_back(IndexOf(tmp_f_, o));
-      if (config.operand_pos.back() >= 0 && cm.afa_scc[o] == cm.afa_scc[u]) {
-        config.needs_iteration = true;
+      operand_pos.push_back(IndexOf(tmp_f_, o));
+      if (operand_pos.back() >= 0 && cm.afa_scc[o] == cm.afa_scc[u]) {
+        needs_iteration = true;
       }
     }
-    op.end = static_cast<int>(config.operand_pos.size());
-    config.ops.push_back(op);
+    op.end = static_cast<int>(operand_pos.size());
+    ops.push_back(op);
   }
+  int32_t id = configs_.Append(Config::Arrays{.mstates = tmp_m_,
+                                              .seeds = tmp_seeds_,
+                                              .freq = tmp_f_,
+                                              .finals = finals,
+                                              .ftrans = ftrans,
+                                              .ops = ops,
+                                              .operand_pos = operand_pos,
+                                              .annotated = annotated,
+                                              .final_mstates = final_mstates,
+                                              .eps_pairs = eps_pairs});
+  Config& config = configs_[id];
+  config.any_annotated = !annotated.empty();
+  config.dead = tmp_m_.empty() && tmp_f_.empty();
+  config.has_final = !final_mstates.empty();
+  config.needs_iteration = needs_iteration;
   // Lazy tables, allocated eagerly so readers never observe a null row.
   if (index_ == nullptr) {
     config.next = std::make_unique<std::atomic<uint64_t>[]>(num_tree_labels_);
@@ -273,7 +347,7 @@ int32_t TransitionPlane::InternConfigLocked() {
       config.next_by_eff[l].store(nullptr, std::memory_order_relaxed);
     }
   }
-  bucket.push_back(id);
+  config_index_.emplace(h, id);
   total_interned_.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
@@ -288,21 +362,24 @@ int32_t TransitionPlane::InternAuxLocked(int32_t from, LabelId tree_label,
   const Config& p = configs_[from];
   const Config& c = configs_[to];
   const CompiledMfa& cm = *compiled_;
-  TransAux aux;
+  std::vector<IndexPair> label_edges;
+  std::vector<IndexPair> fold_pairs;
   std::vector<std::vector<int32_t>> adj;
   std::vector<char> reach;
   std::vector<int32_t> work;
-  if (!c.any_annotated && !c.eps_pairs.empty()) {
-    adj.resize(c.mstates.size());
-    for (auto [i, j] : c.eps_pairs) adj[i].push_back(j);
+  const std::span<const StateId> c_mstates = c.mstates();
+  if (!c.any_annotated && !c.eps_pairs().empty()) {
+    adj.resize(c_mstates.size());
+    for (auto [i, j] : c.eps_pairs()) adj[i].push_back(j);
   }
-  for (size_t i = 0; i < p.mstates.size(); ++i) {
-    reach.assign(c.mstates.size(), 0);
+  const std::span<const StateId> p_mstates = p.mstates();
+  for (size_t i = 0; i < p_mstates.size(); ++i) {
+    reach.assign(c_mstates.size(), 0);
     auto add_target = [&](StateId to_state) {
-      int j = IndexOf(c.mstates, to_state);
+      int j = IndexOf(c_mstates, to_state);
       if (j < 0 || reach[j]) return;
       reach[j] = 1;
-      aux.label_edges.push_back({static_cast<int32_t>(i), j});
+      label_edges.push_back({static_cast<int32_t>(i), j});
       if (!adj.empty()) {
         work.assign(1, j);
         while (!work.empty()) {
@@ -311,47 +388,49 @@ int32_t TransitionPlane::InternAuxLocked(int32_t from, LabelId tree_label,
           for (int32_t e : adj[v]) {
             if (!reach[e]) {
               reach[e] = 1;
-              aux.label_edges.push_back({static_cast<int32_t>(i), e});
+              label_edges.push_back({static_cast<int32_t>(i), e});
               work.push_back(e);
             }
           }
         }
       }
     };
-    for (const TreeEdge& t : EdgesOf(p.mstates[i])) {
+    for (const TreeEdge& t : EdgesOf(p_mstates[i])) {
       if (t.label == tree_label) add_target(t.to);
     }
-    for (StateId t : cm.WildOf(p.mstates[i])) add_target(t);
+    for (StateId t : cm.WildOf(p_mstates[i])) add_target(t);
   }
-  for (const Config::FreqTrans& ft : p.ftrans) {
+  for (const Config::FreqTrans& ft : p.ftrans()) {
     if (!ft.wildcard && ft.tree_label != tree_label) continue;
-    int k = IndexOf(c.freq, ft.target);
-    if (k >= 0) aux.fold_pairs.push_back({ft.idx, k});
+    int k = IndexOf(c.freq(), ft.target);
+    if (k >= 0) fold_pairs.push_back({ft.idx, k});
   }
-  if (aux.label_edges.empty() && aux.fold_pairs.empty()) return -1;
-  return InternAuxContentLocked(std::move(aux));
+  if (label_edges.empty() && fold_pairs.empty()) return -1;
+  return InternAuxContentLocked(label_edges, fold_pairs);
 }
 
-int32_t TransitionPlane::InternAuxContentLocked(TransAux aux) {
-  uint64_t h = HashCombine(aux.label_edges.size(), aux.fold_pairs.size());
-  for (auto [i, j] : aux.label_edges) {
+int32_t TransitionPlane::InternAuxContentLocked(
+    std::span<const IndexPair> label_edges,
+    std::span<const IndexPair> fold_pairs) {
+  uint64_t h = HashCombine(label_edges.size(), fold_pairs.size());
+  for (auto [i, j] : label_edges) {
     h = HashCombine(h, (static_cast<uint64_t>(i) << 32) |
                            static_cast<uint32_t>(j));
   }
-  for (auto [i, j] : aux.fold_pairs) {
+  for (auto [i, j] : fold_pairs) {
     h = HashCombine(h, ~((static_cast<uint64_t>(i) << 32) |
                          static_cast<uint32_t>(j)));
   }
-  std::vector<int32_t>& bucket = aux_buckets_[h];
-  for (int32_t id : bucket) {
-    if (aux_[id].label_edges == aux.label_edges &&
-        aux_[id].fold_pairs == aux.fold_pairs) {
-      return id;
+  auto [first, last] = aux_index_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    const TransAux& a = aux_[it->second];
+    if (std::ranges::equal(a.label_edges(), label_edges) &&
+        std::ranges::equal(a.fold_pairs(), fold_pairs)) {
+      return it->second;
     }
   }
-  int32_t id = aux_.Append();
-  aux_[id] = std::move(aux);
-  bucket.push_back(id);
+  int32_t id = aux_.Append(label_edges, fold_pairs);
+  aux_index_.emplace(h, id);
   return id;
 }
 
@@ -367,25 +446,24 @@ int32_t TransitionPlane::ComposeAux(int32_t a, int32_t b) {
   auto it = compose_memo_.find(key);
   if (it != compose_memo_.end()) return it->second;
 
-  const std::vector<std::pair<int32_t, int32_t>>& ab = aux_[a].label_edges;
-  const std::vector<std::pair<int32_t, int32_t>>& bc = aux_[b].label_edges;
+  const std::span<const IndexPair> ab = aux_[a].label_edges();
+  const std::span<const IndexPair> bc = aux_[b].label_edges();
   // Small relational join: map ab through bc, deduplicating pairs.
-  TransAux out;
+  std::vector<IndexPair> out;
   for (auto [i, j] : ab) {
     for (auto [j2, k] : bc) {
       if (j2 != j) continue;
       bool dup = false;
-      for (auto [oi, ok] : out.label_edges) {
+      for (auto [oi, ok] : out) {
         if (oi == i && ok == k) {
           dup = true;
           break;
         }
       }
-      if (!dup) out.label_edges.push_back({i, k});
+      if (!dup) out.push_back({i, k});
     }
   }
-  int32_t id =
-      out.label_edges.empty() ? -1 : InternAuxContentLocked(std::move(out));
+  int32_t id = out.empty() ? -1 : InternAuxContentLocked(out, {});
   compose_memo_.emplace(key, id);
   return id;
 }
@@ -405,7 +483,7 @@ SuccRef TransitionPlane::ComputeTransitionLocked(
       tmp_m_.push_back(t);
     }
   };
-  for (StateId s : cur.mstates) {
+  for (StateId s : cur.mstates()) {
     for (const TreeEdge& t : EdgesOf(s)) {
       if (t.label == tree_label) mark_push(t.to);
     }
@@ -436,7 +514,7 @@ SuccRef TransitionPlane::ComputeTransitionLocked(
       tmp_f_.push_back(s);
     }
   };
-  for (const Config::FreqTrans& ft : cur.ftrans) {
+  for (const Config::FreqTrans& ft : cur.ftrans()) {
     if (ft.wildcard || ft.tree_label == tree_label) add(ft.target);
   }
   for (StateId s : tmp_m_) {
@@ -495,10 +573,10 @@ SuccRef TransitionPlane::TransitionLocked(int32_t config,
     *interned += total_interned_.load(std::memory_order_relaxed) - before;
   }
   // `cur` stays valid across the compute: chunked slots never move.
-  eff_nodes_.push_back(
-      {eff_set, succ,
-       cur.next_by_eff[tree_label].load(std::memory_order_relaxed)});
-  cur.next_by_eff[tree_label].store(&eff_nodes_.back(),
+  int32_t node = eff_nodes_.Append(Config::EffNode{
+      eff_set, succ,
+      cur.next_by_eff[tree_label].load(std::memory_order_relaxed)});
+  cur.next_by_eff[tree_label].store(&eff_nodes_[node],
                                     std::memory_order_release);
   return succ;
 }
@@ -596,57 +674,63 @@ int32_t TransitionPlane::ContextConfig(xml::NodeId context,
 std::span<const LabelId> TransitionPlane::RelevantLabels(int32_t config,
                                                          int64_t* interned) {
   Config& cur = configs_[config];
-  if (cur.relevant_ready.load(std::memory_order_acquire)) return cur.relevant;
+  auto relevant = [&cur]() -> std::span<const LabelId> {
+    return {cur.relevant.get(), static_cast<size_t>(cur.num_relevant)};
+  };
+  if (cur.relevant_ready.load(std::memory_order_acquire)) return relevant();
   assert(index_ == nullptr &&
          "relevant labels are only well-defined without an index");
   std::unique_lock<std::shared_mutex> lock(mu_);
-  if (cur.relevant_ready.load(std::memory_order_relaxed)) return cur.relevant;
-  std::vector<LabelId> relevant;
+  if (cur.relevant_ready.load(std::memory_order_relaxed)) return relevant();
+  std::vector<LabelId> labels;
   for (LabelId l = 0; l < num_tree_labels_; ++l) {
     if (TransitionLocked(config, l, 0, interned).config != config) {
-      relevant.push_back(l);
+      labels.push_back(l);
     }
   }
-  cur.relevant = std::move(relevant);
+  cur.relevant = std::make_unique_for_overwrite<LabelId[]>(labels.size());
+  std::copy(labels.begin(), labels.end(), cur.relevant.get());
+  cur.num_relevant = static_cast<int32_t>(labels.size());
   cur.relevant_ready.store(true, std::memory_order_release);
-  return cur.relevant;
+  return relevant();
 }
 
 int64_t TransitionPlane::ApproxBytes() const {
-  // Exclusive rather than shared: size_ and the vectors below are written
+  // Exclusive rather than shared: sizes, rows and tables below are written
   // under the exclusive lock, and this path is cold.
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto vec_bytes = [](const auto& v) {
-    return static_cast<int64_t>(v.capacity() * sizeof(v[0]));
-  };
-  int64_t bytes = 0;
+  int64_t bytes = Block(sizeof(TransitionPlane));
+  bytes += VectorBytes(edge_begin_) + VectorBytes(edges_) +
+           VectorBytes(afa_tree_label_) + VectorBytes(nfa_mark_) +
+           VectorBytes(nfa_mark2_) + VectorBytes(afa_mark_) +
+           VectorBytes(tagged_) + VectorBytes(reach_work_) +
+           VectorBytes(tmp_m_) + VectorBytes(tmp_seeds_) + VectorBytes(tmp_f_);
+  // Every allocated slot, constructed or not.
+  bytes += configs_.capacity() * int64_t{sizeof(Config)} +
+           aux_.capacity() * int64_t{sizeof(TransAux)} +
+           eff_nodes_.capacity() * int64_t{sizeof(Config::EffNode)};
+  // Per configuration: its payload, its transition row (either kind holds
+  // one 8-byte atomic per tree label) and its relevant labels.
+  static_assert(sizeof(std::atomic<uint64_t>) ==
+                sizeof(std::atomic<Config::EffNode*>));
+  const int64_t row = Block(num_tree_labels_ * sizeof(std::atomic<uint64_t>));
   const int32_t num_configs = configs_.size();
   for (int32_t id = 0; id < num_configs; ++id) {
     const Config& c = configs_[id];
-    bytes += sizeof(Config);
-    bytes += vec_bytes(c.mstates) + vec_bytes(c.seeds) + vec_bytes(c.freq) +
-             vec_bytes(c.finals) + vec_bytes(c.ftrans) + vec_bytes(c.ops) +
-             vec_bytes(c.operand_pos) + vec_bytes(c.annotated) +
-             vec_bytes(c.final_mstates) + vec_bytes(c.eps_pairs) +
-             vec_bytes(c.relevant);
-    if (c.next != nullptr) {
-      bytes += int64_t{num_tree_labels_} * sizeof(std::atomic<uint64_t>);
-    }
-    if (c.next_by_eff != nullptr) {
-      bytes += int64_t{num_tree_labels_} * sizeof(std::atomic<Config::EffNode*>);
-    }
+    bytes += row;
+    if (c.payload_bytes() > 0) bytes += Block(c.payload_bytes());
+    if (c.relevant != nullptr) bytes += Block(c.num_relevant * sizeof(LabelId));
   }
   const int32_t num_aux = aux_.size();
   for (int32_t id = 0; id < num_aux; ++id) {
-    const TransAux& a = aux_[id];
-    bytes +=
-        sizeof(TransAux) + vec_bytes(a.label_edges) + vec_bytes(a.fold_pairs);
+    bytes += Block(aux_[id].payload_bytes());
   }
-  bytes += static_cast<int64_t>(eff_nodes_.size() * sizeof(Config::EffNode));
-  // Hash-table overhead, counted coarsely per entry.
-  bytes += static_cast<int64_t>(
-      (config_buckets_.size() + aux_buckets_.size()) * 48 +
-      (compose_memo_.size() + root_config_cache_.size()) * 24);
+  bytes += HashTableBytes(config_index_) + HashTableBytes(aux_index_) +
+           HashTableBytes(compose_memo_) + HashTableBytes(root_config_cache_) +
+           HashTableBytes(productive_cache_);
+  for (const auto& [set_id, prod] : productive_cache_) {
+    bytes += VectorBytes(prod.sel) + VectorBytes(prod.afa_cbt);
+  }
   return bytes;
 }
 

@@ -47,6 +47,28 @@
 // (flat per-state edge slices, precomputed ε-closures, stratified AFA order)
 // with MFA labels pre-bound to the document's label ids at plane
 // construction, instead of chasing the Mfa's vectors-of-vectors per state.
+//
+// MEMORY. A multi-tenant server holds one plane per (role, query) pair, and
+// most of those planes intern only a dozen configurations, so a plane costs
+// what it interns plus a fixed few KB:
+//
+//  * the chunked stores start at 8 slots and double (8, 16, 32, ...), so k
+//    elements occupy fewer than 2k + 8 slots, and a slot is constructed
+//    only when appended (an unused slot is raw memory);
+//  * a Config is an 88-byte slot (at most 96, asserted): flags, lazy-table
+//    pointers, and one payload allocation holding its ten derived arrays
+//    (mstates ... eps_pairs, read through std::span accessors) back to
+//    back; a TransAux is a 16-byte slot plus one allocation of its pairs;
+//  * a no-index plane allocates nothing that only index mode uses: the
+//    (label-set, successor) nodes live in a third chunked store that stays
+//    empty without an index.
+//
+// ApproxBytes() counts the heap blocks the plane holds -- every allocated
+// slot whether used or not, payloads, transition rows, relevant labels, the
+// plane object, its document binding and scratch, and the hash indexes and
+// memos (bucket arrays and nodes) -- each as malloc lays it out (8-byte
+// header, 16-byte granules, 32 bytes minimum), so PlaneStoreStats and
+// RoleCatalog::plane_stats() sum to the heap the planes really hold.
 
 #ifndef SMOQE_HYPE_TRANSITION_PLANE_H_
 #define SMOQE_HYPE_TRANSITION_PLANE_H_
@@ -55,7 +77,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -91,22 +112,29 @@ struct SuccRef {
 namespace internal {
 
 /// Append-only store with stable element addresses and lock-free reads.
-/// Chunk c holds (256 << c) elements, so 23 chunks cover ~2 billion ids
-/// with no relocation ever. Append() may only be called under the owning
-/// plane's writer lock; an element must be fully written before its id is
-/// published to readers (via a release store or mutex release), after which
-/// relaxed chunk-pointer loads are ordered by that publication.
+/// Chunk c holds (8 << c) slots, so 28 chunks cover ids up to 2^31 - 9 with
+/// no relocation ever, and a store of k elements holds fewer than 2k + 8
+/// slots. A slot is constructed by Append() and destroyed with the store;
+/// the slots past size() stay raw memory. Append() may only be called under
+/// the owning plane's writer lock; an element must be fully written before
+/// its id is published to readers (via a release store or mutex release),
+/// after which relaxed chunk-pointer loads are ordered by that publication.
 template <typename T>
 class ChunkedStore {
  public:
-  static constexpr int kBaseBits = 8;
-  static constexpr int kMaxChunks = 23;
+  static constexpr int kBaseBits = 3;
+  static constexpr int kMaxChunks = 28;
 
   ChunkedStore() {
     for (auto& c : chunks_) c.store(nullptr, std::memory_order_relaxed);
   }
   ~ChunkedStore() {
-    for (auto& c : chunks_) delete[] c.load(std::memory_order_relaxed);
+    for (int32_t id = 0; id < size_; ++id) std::destroy_at(&Slot(id));
+    std::allocator<T> alloc;
+    for (int c = 0; c < kMaxChunks; ++c) {
+      T* chunk = chunks_[c].load(std::memory_order_relaxed);
+      if (chunk != nullptr) alloc.deallocate(chunk, ChunkCap(c));
+    }
   }
   ChunkedStore(const ChunkedStore&) = delete;
   ChunkedStore& operator=(const ChunkedStore&) = delete;
@@ -117,14 +145,27 @@ class ChunkedStore {
   /// Elements appended so far (writer-side view).
   int32_t size() const { return size_; }
 
-  /// Appends a default-constructed element and returns its id; the caller
-  /// fills it in place. Writer lock required.
-  int32_t Append() {
+  /// Slots allocated so far (writer-side view): the chunks up to the one
+  /// holding the last element.
+  int64_t capacity() const {
+    if (size_ == 0) return 0;
+    return (int64_t{1} << (kBaseBits + ChunkOf(size_ - 1) + 1)) -
+           (int64_t{1} << kBaseBits);
+  }
+
+  /// Constructs an element from `args` in the next slot and returns its id;
+  /// the caller may finish filling it in place. Writer lock required.
+  template <typename... Args>
+  int32_t Append(Args&&... args) {
     int32_t id = size_;
     int c = ChunkOf(id);
-    if (chunks_[c].load(std::memory_order_relaxed) == nullptr) {
-      chunks_[c].store(new T[ChunkCap(c)], std::memory_order_release);
+    T* chunk = chunks_[c].load(std::memory_order_relaxed);
+    if (chunk == nullptr) {
+      chunk = std::allocator<T>().allocate(ChunkCap(c));
+      chunks_[c].store(chunk, std::memory_order_release);
     }
+    std::construct_at(chunk + (id - ChunkBase(c)),
+                      std::forward<Args>(args)...);
     ++size_;
     return id;
   }
@@ -152,18 +193,17 @@ class TransitionPlane {
  public:
   using StateId = automata::StateId;
 
+  /// An (i, j) pair of array positions (cans edges, fold pairs, ...).
+  using IndexPair = std::pair<int32_t, int32_t>;
+
   /// A hash-consed evaluation configuration: the selecting states occupied
   /// at a node, which were entered by the label move itself (seeds), and the
   /// AFA states requested there -- plus everything the per-node hot paths
-  /// need, precomputed at intern time. Immutable once published except the
-  /// atomic lazy tables.
-  struct Config {
-    std::vector<StateId> mstates;  // sorted
-    std::vector<char> seeds;       // aligned with mstates
-    std::vector<StateId> freq;     // sorted
-    bool any_annotated = false;
-    bool dead = false;  // both sets empty: prune the subtree
-    bool has_final = false;
+  /// need, precomputed at intern time. The ten derived arrays are packed
+  /// into one allocation (see MEMORY in the design note). Immutable once
+  /// published except the atomic lazy tables.
+  class Config {
+   public:
     // Precomputed views of freq: final-state positions, and transition
     // states with their move labels PRE-BOUND to document label ids.
     struct FreqTrans {
@@ -172,8 +212,6 @@ class TransitionPlane {
       LabelId tree_label;  // kNoLabel when the document never saw the label
       bool wildcard;
     };
-    std::vector<int> finals;
-    std::vector<FreqTrans> ftrans;
     // Same-node operator states in STRATIFIED sweep order (CompiledMfa
     // afa_rank): operands precede operators except across genuine Kleene
     // cycles, so a single ascending sweep reaches the fixpoint unless
@@ -184,19 +222,61 @@ class TransitionPlane {
       int begin;
       int end;
     };
-    std::vector<OpSpec> ops;
-    std::vector<int> operand_pos;
-    bool needs_iteration = false;
-    // Annotated / final selecting states: (index into mstates, position of
-    // the AFA entry in freq, -1 if pruned) / indices into mstates.
-    std::vector<std::pair<int, int>> annotated;
-    std::vector<int> final_mstates;
-    // Intra-node ε-edges (i, j) within mstates, for cans wiring.
-    std::vector<std::pair<int32_t, int32_t>> eps_pairs;
+    /// The derived arrays, as gathered by the interning code; the
+    /// constructor copies them into the configuration's payload.
+    struct Arrays {
+      std::span<const StateId> mstates;  // sorted
+      std::span<const char> seeds;       // aligned with mstates
+      std::span<const StateId> freq;     // sorted
+      std::span<const int> finals;
+      std::span<const FreqTrans> ftrans;
+      std::span<const OpSpec> ops;
+      std::span<const int> operand_pos;
+      // Annotated / final selecting states: (index into mstates, position
+      // of the AFA entry in freq, -1 if pruned) / indices into mstates.
+      std::span<const IndexPair> annotated;
+      std::span<const int> final_mstates;
+      // Intra-node ε-edges (i, j) within mstates, for cans wiring.
+      std::span<const IndexPair> eps_pairs;
+    };
+
+    explicit Config(const Arrays& arrays);
+    Config(const Config&) = delete;
+    Config& operator=(const Config&) = delete;
+
+    std::span<const StateId> mstates() const {
+      return Array<StateId>(kMstates);
+    }
+    std::span<const char> seeds() const { return Array<char>(kSeeds); }
+    std::span<const StateId> freq() const { return Array<StateId>(kFreq); }
+    std::span<const int> finals() const { return Array<int>(kFinals); }
+    std::span<const FreqTrans> ftrans() const {
+      return Array<FreqTrans>(kFtrans);
+    }
+    std::span<const OpSpec> ops() const { return Array<OpSpec>(kOps); }
+    std::span<const int> operand_pos() const {
+      return Array<int>(kOperandPos);
+    }
+    std::span<const IndexPair> annotated() const {
+      return Array<IndexPair>(kAnnotated);
+    }
+    std::span<const int> final_mstates() const {
+      return Array<int>(kFinalMstates);
+    }
+    std::span<const IndexPair> eps_pairs() const {
+      return Array<IndexPair>(kEpsPairs);
+    }
+    /// Bytes of the packed arrays.
+    size_t payload_bytes() const { return end_[kNumArrays - 1]; }
 
     /// Simple = no AFA requests, nothing annotated: outside a region the
     /// engine's whole per-node behavior is determined by the config id.
-    bool IsSimple() const { return freq.empty() && !any_annotated; }
+    bool IsSimple() const { return freq().empty() && !any_annotated; }
+
+    bool any_annotated = false;
+    bool dead = false;  // both sets empty: prune the subtree
+    bool has_final = false;
+    bool needs_iteration = false;
 
     // ---- lazy transition tables (see the design note) ----
     // Without an index: one packed (config, aux) atomic per tree label;
@@ -212,16 +292,61 @@ class TransitionPlane {
     };
     std::unique_ptr<std::atomic<EffNode*>[]> next_by_eff;
     // Relevant-label cache for jump mode (sorted; published by the flag).
-    std::vector<LabelId> relevant;
+    std::unique_ptr<LabelId[]> relevant;
+    int32_t num_relevant = 0;
     std::atomic<bool> relevant_ready{false};
+
+   private:
+    // Payload order: every 4-byte-aligned array first, the chars last.
+    enum ArrayId {
+      kMstates,
+      kFreq,
+      kFinals,
+      kFtrans,
+      kOps,
+      kOperandPos,
+      kAnnotated,
+      kFinalMstates,
+      kEpsPairs,
+      kSeeds,
+      kNumArrays
+    };
+
+    template <typename E>
+    std::span<const E> Array(int k) const {
+      const uint32_t begin = k == 0 ? 0 : end_[k - 1];
+      return {reinterpret_cast<const E*>(payload_.get() + begin),
+              (end_[k] - begin) / sizeof(E)};
+    }
+
+    std::unique_ptr<std::byte[]> payload_;
+    std::array<uint32_t, kNumArrays> end_{};  // byte end of each array
   };
 
   /// Precomputed per-transition edge data: cans label edges (i in parent
-  /// mstates, j in child mstates) and fstates↑ fold pairs. Content-interned
-  /// so compositions over barren chains converge to a handful of ids.
-  struct TransAux {
-    std::vector<std::pair<int32_t, int32_t>> label_edges;
-    std::vector<std::pair<int32_t, int32_t>> fold_pairs;
+  /// mstates, j in child mstates) and fstates↑ fold pairs, packed into one
+  /// allocation. Content-interned so compositions over barren chains
+  /// converge to a handful of ids.
+  class TransAux {
+   public:
+    TransAux(std::span<const IndexPair> label_edges,
+             std::span<const IndexPair> fold_pairs);
+
+    std::span<const IndexPair> label_edges() const {
+      return {pairs_.get(), static_cast<size_t>(num_label_edges_)};
+    }
+    std::span<const IndexPair> fold_pairs() const {
+      return {pairs_.get() + num_label_edges_,
+              static_cast<size_t>(num_fold_pairs_)};
+    }
+    size_t payload_bytes() const {
+      return sizeof(IndexPair) * (num_label_edges_ + num_fold_pairs_);
+    }
+
+   private:
+    std::unique_ptr<IndexPair[]> pairs_;
+    int32_t num_label_edges_;
+    int32_t num_fold_pairs_;
   };
 
   /// `tree`, `mfa` and `index` (may be null) must outlive the plane.
@@ -260,10 +385,13 @@ class TransitionPlane {
     return total_interned_.load(std::memory_order_relaxed);
   }
 
-  /// Approximate resident bytes of the interned state (configurations with
-  /// their precomputed views and lazy transition rows, TransAux records,
-  /// memo tables). Takes the writer lock briefly; intended for stats
-  /// endpoints and benches, not hot paths.
+  /// Heap bytes the plane holds: the plane object, its document binding
+  /// and intern scratch, every allocated chunk slot (used or not), the
+  /// packed configuration and TransAux payloads, transition rows, relevant
+  /// labels, and the hash indexes and memos (buckets plus nodes) -- each
+  /// block as malloc lays it out (see MEMORY in the design note). Takes the
+  /// writer lock briefly; intended for stats endpoints and benches, not hot
+  /// paths.
   int64_t ApproxBytes() const;
 
   const automata::CompiledMfa& compiled() const { return *compiled_; }
@@ -302,7 +430,8 @@ class TransitionPlane {
   int32_t ContextConfigLocked(xml::NodeId context);
   int32_t InternConfigLocked();  // interns the tmp_* scratch triple
   int32_t InternAuxLocked(int32_t from, LabelId tree_label, int32_t to);
-  int32_t InternAuxContentLocked(TransAux aux);
+  int32_t InternAuxContentLocked(std::span<const IndexPair> label_edges,
+                                 std::span<const IndexPair> fold_pairs);
   const Productive& ProductiveForLocked(int32_t set_id);
   void RestrictToSeedReachableLocked(std::vector<StateId>* mstates,
                                      std::vector<char>* seeds);
@@ -326,9 +455,10 @@ class TransitionPlane {
 
   internal::ChunkedStore<Config> configs_;
   internal::ChunkedStore<TransAux> aux_;
-  std::deque<Config::EffNode> eff_nodes_;  // stable node storage
-  std::unordered_map<uint64_t, std::vector<int32_t>> config_buckets_;
-  std::unordered_map<uint64_t, std::vector<int32_t>> aux_buckets_;
+  internal::ChunkedStore<Config::EffNode> eff_nodes_;  // index mode only
+  // Content hash -> id.
+  std::unordered_multimap<uint64_t, int32_t> config_index_;
+  std::unordered_multimap<uint64_t, int32_t> aux_index_;
   std::unordered_map<uint64_t, int32_t> compose_memo_;
   std::unordered_map<xml::NodeId, int32_t> root_config_cache_;
   std::unordered_map<int32_t, Productive> productive_cache_;

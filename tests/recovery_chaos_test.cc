@@ -302,7 +302,9 @@ TEST(RecoveryChaosTest, TruncationAtEveryRecordBoundaryRecovers) {
     const uint64_t off = scan.value().records[r].offset;
     cuts.push_back({off, r});
     for (uint64_t probe : {1u, 8u, 17u}) {
-      if (off + probe < scan.value().file_size) cuts.push_back({off + probe, r});
+      if (off + probe < scan.value().file_size) {
+        cuts.push_back({off + probe, r});
+      }
     }
   }
   cuts.push_back({scan.value().file_size, scan.value().records.size()});

@@ -11,11 +11,18 @@
 //  * concurrent cold-start interning from many threads is safe and still
 //    bit-identical (run under TSan via the `concurrency` ctest label);
 //  * the store pins MFA lifetimes (keep_alive) and soft-evicts only unused
-//    planes.
+//    planes;
+//  * ChunkedStore constructs only appended slots and holds fewer than
+//    2k + 8 slots for k elements; a plane's heap cost follows what it
+//    interns, and ApproxBytes() reports that cost.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <random>
 #include <string>
 #include <thread>
@@ -32,6 +39,64 @@
 #include "xml/parser.h"
 #include "xpath/parser.h"
 #include "xpath/printer.h"
+
+// Live heap bytes allocated through the global operator new by this
+// binary, each request counted as the block glibc's malloc makes of it (an
+// 8-byte header, rounded up to 16 bytes, 32 at least). A size header in
+// front of every allocation lets delete subtract it again. Every unaligned
+// form is replaced, so no allocation reaches a sanitizer runtime's own
+// operator new and then this delete. Only the plane byte-count test reads
+// the counter; every other test just pays the header.
+namespace {
+std::atomic<int64_t> g_live_heap_bytes{0};
+constexpr size_t kHeapHeader = alignof(std::max_align_t);
+
+int64_t MallocBlock(size_t n) {
+  return static_cast<int64_t>(
+      std::max<size_t>(32, (n + 8 + 15) & ~size_t{15}));
+}
+
+void* CountedNew(size_t n) noexcept {
+  void* block = std::malloc(n + kHeapHeader);
+  if (block == nullptr) return nullptr;
+  *static_cast<size_t*>(block) = n;
+  g_live_heap_bytes.fetch_add(MallocBlock(n), std::memory_order_relaxed);
+  return static_cast<char*>(block) + kHeapHeader;
+}
+
+void* CountedNewOrThrow(size_t n) {
+  void* p = CountedNew(n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void CountedDelete(void* p) noexcept {
+  if (p == nullptr) return;
+  char* block = static_cast<char*>(p) - kHeapHeader;
+  g_live_heap_bytes.fetch_sub(MallocBlock(*reinterpret_cast<size_t*>(block)),
+                              std::memory_order_relaxed);
+  std::free(block);
+}
+}  // namespace
+
+void* operator new(size_t n) { return CountedNewOrThrow(n); }
+void* operator new[](size_t n) { return CountedNewOrThrow(n); }
+void* operator new(size_t n, const std::nothrow_t&) noexcept {
+  return CountedNew(n);
+}
+void* operator new[](size_t n, const std::nothrow_t&) noexcept {
+  return CountedNew(n);
+}
+void operator delete(void* p) noexcept { CountedDelete(p); }
+void operator delete[](void* p) noexcept { CountedDelete(p); }
+void operator delete(void* p, size_t) noexcept { CountedDelete(p); }
+void operator delete[](void* p, size_t) noexcept { CountedDelete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedDelete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  CountedDelete(p);
+}
 
 namespace smoqe::hype {
 namespace {
@@ -68,18 +133,55 @@ void ExpectRunStatsEqual(const EvalStats& a, const EvalStats& b) {
 }
 
 TEST(ChunkedStoreTest, StableAddressesAcrossGrowth) {
+  // Chunks hold 8, 16, 32, ... slots: 2^17 + 8 ids cross every chunk
+  // boundary up to chunk 13 (ids 65528 .. 131063) and into chunk 14.
+  constexpr int kCount = (1 << 17) + 8;
   internal::ChunkedStore<int> store;
   std::vector<int*> addrs;
-  for (int i = 0; i < 5000; ++i) {
-    int32_t id = store.Append();
-    store[id] = i;
+  for (int i = 0; i < kCount; ++i) {
+    int32_t id = store.Append(i);
+    ASSERT_EQ(id, i);
     addrs.push_back(&store[id]);
+    // One chunk of slack at most: fewer than 2k + 8 slots for k elements.
+    ASSERT_LT(store.capacity(), 2 * int64_t{i + 1} + 8) << "after id " << i;
+    ASSERT_GE(store.capacity(), int64_t{i + 1});
   }
-  for (int i = 0; i < 5000; ++i) {
-    EXPECT_EQ(&store[i], addrs[i]);  // never relocated
-    EXPECT_EQ(store[i], i);
+  for (int i = 0; i < kCount; ++i) {
+    ASSERT_EQ(&store[i], addrs[i]) << "id " << i;  // never relocated
+    ASSERT_EQ(store[i], i) << "id " << i;
   }
-  EXPECT_EQ(store.size(), 5000);
+  EXPECT_EQ(store.size(), kCount);
+}
+
+// Counts its constructions and destructions.
+struct Counted {
+  static inline int constructed = 0;
+  static inline int destroyed = 0;
+  explicit Counted(int v) : value(v) { ++constructed; }
+  Counted(const Counted&) = delete;
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { ++destroyed; }
+  int value;
+};
+
+TEST(ChunkedStoreTest, ConstructsAndDestroysOnlyAppendedSlots) {
+  for (int k : {0, 1, 7, 8, 9, 23, 24, 25, 100, 1000, 4097}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    Counted::constructed = 0;
+    Counted::destroyed = 0;
+    {
+      internal::ChunkedStore<Counted> store;
+      EXPECT_EQ(store.capacity(), 0);
+      for (int i = 0; i < k; ++i) store.Append(i * 3);
+      EXPECT_EQ(Counted::constructed, k);
+      EXPECT_EQ(Counted::destroyed, 0);
+      EXPECT_EQ(store.size(), k);
+      EXPECT_LT(store.capacity(), 2 * int64_t{k} + 8);
+      for (int i = 0; i < k; ++i) EXPECT_EQ(store[i].value, i * 3);
+    }
+    EXPECT_EQ(Counted::constructed, k);
+    EXPECT_EQ(Counted::destroyed, k);
+  }
 }
 
 TEST(TransitionPlaneTest, SharedPlaneMatchesSoloBitIdentically) {
@@ -300,6 +402,47 @@ TEST(TransitionPlaneTest, PlaneSeededFromPrebuiltCompiledMfa) {
     HypeEvaluator solo(tree, mfa);
     EXPECT_EQ(eval.Eval(tree.root()), solo.Eval(tree.root()));
   }
+}
+
+// A plane over a small tree that interns a handful of configurations costs a
+// few KB of heap, and ApproxBytes() reports that cost: its allocated chunks,
+// packed payloads, transition rows and hash indexes, checked against the
+// live heap blocks allocated through operator new while the plane was built
+// and evaluated over.
+TEST(TransitionPlaneTest, ApproxBytesTracksTheHeapOfASmallPlane) {
+  auto t = xml::ParseXml(
+      "<r><a><t>alpha</t><b><t/><c/></b></a><a><t>beta</t></a><b><c/></b>"
+      "</r>");
+  ASSERT_TRUE(t.ok());
+  const xml::Tree& tree = t.value();
+  auto query =
+      xpath::ParseQuery("r/a[t/text() = 'alpha']//c | r//b[c]/t | //a/b");
+  ASSERT_TRUE(query.ok());
+  const automata::Mfa mfa = automata::CompileQuery(query.value());
+  // Compiled-query memory is not the plane's: build the mirror outside the
+  // measured window.
+  auto compiled = std::make_shared<const automata::CompiledMfa>(
+      automata::CompiledMfa::Build(mfa));
+  std::vector<xml::NodeId> want = HypeEvaluator(tree, mfa).Eval(tree.root());
+
+  const int64_t before = g_live_heap_bytes.load(std::memory_order_relaxed);
+  auto plane = std::make_shared<TransitionPlane>(tree, mfa, compiled, nullptr);
+  {
+    HypeOptions options;
+    options.transition_plane = plane;
+    HypeEvaluator eval(tree, mfa, options);
+    EXPECT_EQ(eval.Eval(tree.root()), want);
+  }
+  const int64_t heap = g_live_heap_bytes.load(std::memory_order_relaxed) -
+                       before;
+  const int64_t reported = plane->ApproxBytes();
+  EXPECT_GE(plane->configs_interned(), 3);
+  EXPECT_LE(plane->configs_interned(), 16);
+  EXPECT_LT(heap, 16 * 1024) << "the plane's heap must follow what it interns";
+  // The heap growth is the plane's own blocks plus the shared_ptr control
+  // block and the chunk blocks' headers, which ApproxBytes() leaves out.
+  EXPECT_GE(reported, heap - 128) << "heap " << heap;
+  EXPECT_LE(reported, heap) << "heap " << heap;
 }
 
 }  // namespace
