@@ -28,24 +28,23 @@
 //     the materialize-then-evaluate oracle exactly;
 //  2. warm-role interning -- re-submitting an already-served (role, query)
 //     workload must intern ZERO configurations in the role partitions. The
-//     count is exported as authz/configs_interned_warm_role, which
+//     count is reported as the configs_interned_warm_role counter, which
 //     ci/check_bench_regression.py gates at zero growth vs main; a
-//     deterministic small-capacity eviction pass likewise exports
-//     authz/planes_evicted.
+//     deterministic small-capacity eviction pass likewise reports
+//     planes_evicted.
 //
 // The acceptance bar (enforced here when the sweep reaches 1000 roles, i.e.
 // always in CI smoke and nightly): warm_qps >= 5x materialize_qps.
 //
 // Modes: default = google-benchmark families (Authz/*); --smoqe_json=FILE =
-// the self-timed smoke run above (BENCH_authz.json in CI). Document size
-// scales with SMOQE_BENCH_PATIENTS, role count with SMOQE_BENCH_ROLES.
+// the self-timed smoke run above (SmokeReport in bench_common.h). Document
+// size scales with SMOQE_BENCH_PATIENTS, role count with SMOQE_BENCH_ROLES.
 
 #include <cstdio>
 #include <cstdlib>
 #include <future>
 #include <random>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -360,7 +359,7 @@ int64_t DeterministicEvictions(const xml::Tree& doc) {
   return evicted;
 }
 
-int WriteJsonSmoke(const std::string& path) {
+int RunSmoke(SmokeReport* report) {
   const xml::Tree& doc = HospitalDoc(BasePatients());
   const int max_roles = MaxRoles();
   std::vector<int> sweep_sizes;
@@ -391,33 +390,19 @@ int WriteJsonSmoke(const std::string& path) {
     }
   }
 
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
+  report->info["elements"] = doc.CountElements();
+  for (const SweepPoint& s : sweep) {
+    const std::string key = "roles=" + std::to_string(s.roles);
+    report->metrics[key + "/warm_qps"] = s.warm_qps;
+    report->metrics[key + "/materialize_qps"] = s.materialize_qps;
+    report->info[key + "/warm_over_materialize"] =
+        s.warm_qps / s.materialize_qps;
+    report->info[key + "/compile_ms_per_role"] = s.compile_ms_per_role;
+    report->info[key + "/plane_bytes"] = s.plane_bytes;
+    report->info[key + "/resident_roles"] = s.resident_roles;
   }
-  std::fprintf(out, "{\n  \"elements\": %d,\n  \"authz\": {\n    \"sweep\": [",
-               doc.CountElements());
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& s = sweep[i];
-    std::fprintf(out,
-                 "%s\n      {\"roles\": %d, \"warm_qps\": %.1f, "
-                 "\"materialize_qps\": %.1f, \"warm_over_materialize\": %.2f, "
-                 "\"compile_ms_per_role\": %.4f, \"plane_bytes\": %lld, "
-                 "\"resident_roles\": %lld}",
-                 i == 0 ? "" : ",", s.roles, s.warm_qps, s.materialize_qps,
-                 s.warm_qps / s.materialize_qps, s.compile_ms_per_role,
-                 static_cast<long long>(s.plane_bytes),
-                 static_cast<long long>(s.resident_roles));
-  }
-  std::fprintf(out,
-               "\n    ],\n    \"counters\": {\n"
-               "      \"configs_interned_warm_role\": %lld,\n"
-               "      \"planes_evicted\": %lld\n    }\n  }\n}\n",
-               static_cast<long long>(warm_interned),
-               static_cast<long long>(planes_evicted));
-  std::fclose(out);
-  std::printf("wrote %s\n", path.c_str());
+  report->counters["configs_interned_warm_role"] = warm_interned;
+  report->counters["planes_evicted"] = planes_evicted;
   return 0;
 }
 
@@ -473,17 +458,6 @@ void RegisterAll() {
 }  // namespace smoqe::bench
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    constexpr std::string_view kJsonFlag = "--smoqe_json=";
-    if (arg.substr(0, kJsonFlag.size()) == kJsonFlag) {
-      return smoqe::bench::WriteJsonSmoke(
-          std::string(arg.substr(kJsonFlag.size())));
-    }
-  }
   smoqe::bench::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return smoqe::bench::SmokeMain(argc, argv, "authz", smoqe::bench::RunSmoke);
 }

@@ -1,11 +1,15 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 
 #include "automata/compiler.h"
 #include "automata/conceptual_eval.h"
@@ -195,6 +199,65 @@ void RegisterFigure(const std::string& figure, const std::string& query,
     b->ArgName("patients")->Unit(benchmark::kMillisecond);
     for (int i = 1; i <= 10; ++i) b->Arg(static_cast<int64_t>(BasePatients()) * i);
   }
+}
+
+namespace {
+
+// Shortest round-trip form; JSON has no spelling for inf or nan.
+std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+std::string JsonNumber(int64_t v) { return std::to_string(v); }
+
+template <typename Map>
+void WriteSection(std::FILE* out, const char* section, const Map& values,
+                  const char* after) {
+  std::fprintf(out, "  \"%s\": {", section);
+  const char* sep = "\n";
+  for (const auto& [name, value] : values) {
+    std::fprintf(out, "%s    \"%s\": %s", sep, name.c_str(),
+                 JsonNumber(value).c_str());
+    sep = ",\n";
+  }
+  std::fprintf(out, "%s}%s\n", values.empty() ? "" : "\n  ", after);
+}
+
+}  // namespace
+
+int SmokeMain(int argc, char** argv, const char* bench,
+              const std::function<int(SmokeReport*)>& smoke) {
+  constexpr std::string_view kJsonFlag = "--smoqe_json=";
+  for (int i = 1; i < argc; ++i) {
+    std::string_view arg = argv[i];
+    if (arg.substr(0, kJsonFlag.size()) != kJsonFlag) continue;
+    const std::string path(arg.substr(kJsonFlag.size()));
+    SmokeReport report;
+    report.info["patients"] = BasePatients();
+    if (int status = smoke(&report); status != 0) return status;
+    std::FILE* out = std::fopen(path.c_str(), "w");
+    if (out == nullptr) {
+      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      return 1;
+    }
+    std::fprintf(out, "{\n  \"bench\": \"%s\",\n", bench);
+    WriteSection(out, "info", report.info, ",");
+    WriteSection(out, "metrics", report.metrics, ",");
+    WriteSection(out, "counters", report.counters, "");
+    std::fprintf(out, "}\n");
+    if (std::fclose(out) != 0) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return 1;
+    }
+    std::printf("wrote %s\n", path.c_str());
+    return 0;
+  }
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
 }
 
 }  // namespace smoqe::bench

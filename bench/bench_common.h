@@ -12,8 +12,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <map>
 #include <string>
 
 #include "hype/hype.h"
@@ -65,6 +67,31 @@ double Seconds(const std::function<void()>& fn);
 /// One shared sampling policy for every --smoqe_json smoke bench.
 double BestSecondsPerRound(const std::function<void()>& fn,
                            double sample_seconds = 0.1);
+
+/// What one smoke run reports. Every --smoqe_json file has the one shape
+///
+///   {"bench": NAME, "info": {...}, "metrics": {...}, "counters": {...}}
+///
+/// and each map is flat, keyed by path-style names such as
+/// "batch=16/indexed=true/batched_qps". ci/check_bench_regression.py gates
+/// two of the maps with no per-bench code:
+///  * metrics: rates, all higher-is-better; one that falls more than 25%
+///    below the baseline fails;
+///  * counters: deterministic work counts; one that grows at all fails.
+/// info carries everything else a run reports (scale, element counts,
+/// speedups, memory); it is never gated.
+struct SmokeReport {
+  std::map<std::string, double> info;
+  std::map<std::string, double> metrics;
+  std::map<std::string, int64_t> counters;
+};
+
+/// The main() of a smoke bench. With --smoqe_json=FILE it runs `smoke` and,
+/// if that returns 0 (every in-bench gate passed), writes the report to
+/// FILE as bench `bench`, with info["patients"] set to BasePatients().
+/// Without the flag it runs the registered google-benchmark families.
+int SmokeMain(int argc, char** argv, const char* bench,
+              const std::function<int(SmokeReport*)>& smoke);
 
 }  // namespace smoqe::bench
 

@@ -13,14 +13,14 @@
 //
 // Two modes:
 //  * default: google-benchmark binary (DocPlane/* families, sparse_nav);
-//  * --smoqe_json=FILE: a short self-timed smoke run writing queries/sec per
-//    workload x mode to FILE (BENCH_docplane.json in CI, consumed by
-//    ci/check_bench_regression.py). Every timing is preceded by a
-//    bit-identity gate: answers AND traversal statistics (elements visited,
-//    cans sizes, AFA requests) of every mode must equal the solo no-jump
-//    HypeEvaluator's, for every query in every mix; a mismatch aborts the
-//    run. Document size scales with SMOQE_BENCH_PATIENTS (elements ~= 2000x
-//    patients), so CI smoke stays small.
+//  * --smoqe_json=FILE: a short self-timed smoke run reporting queries/sec
+//    per workload x mode (SmokeReport in bench_common.h). Every timing is
+//    preceded by a bit-identity gate: answers AND traversal statistics
+//    (elements visited, cans sizes, AFA requests) of every mode must equal
+//    the solo no-jump HypeEvaluator's, for every query in every mix; a
+//    mismatch aborts the run. Document size scales with
+//    SMOQE_BENCH_PATIENTS (elements ~= 2000x patients), so CI smoke stays
+//    small.
 
 #include <algorithm>
 #include <chrono>
@@ -28,7 +28,6 @@
 #include <functional>
 #include <random>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "automata/compiler.h"
@@ -238,65 +237,56 @@ void RegisterAll() {
 
 // ---- --smoqe_json smoke mode ----
 
-struct WorkloadResult {
-  std::string name;
-  double batch_full_qps = 0;
-  double batch_jump_qps = 0;
-  double sharded_baseline_qps = 0;
-  double sharded_jump_qps = 0;
-  double jumped_fraction = 0;  // positions jumped / positions of a full walk
-  // TransitionPlane interning (PR 5): the batch evaluator here runs with
-  // per-engine private planes (the PR 4 shape, one interning universe per
-  // engine), the sharded evaluator with one shared plane per query across
-  // all its shards/probes/fallback. configs_batch is therefore the
-  // single-store total; pre-plane sharding paid ~num_groups times it, the
-  // shared plane pays it once (configs_sharded_cold) and a warm start pays
-  // nothing (configs_sharded_warm_delta == 0, asserted).
-  int64_t configs_batch = 0;
-  int64_t configs_sharded_cold = 0;
-  int64_t configs_sharded_warm_delta = 0;
-  int num_groups = 0;
-};
-
+// Times one workload in all four modes and reports them under `name/`.
+//
+// TransitionPlane interning: the batch evaluator here runs with
+// per-engine private planes (one interning universe per engine, as before
+// the shared plane existed), the sharded evaluator with one shared plane
+// per query across all its shards/probes/fallback. configs_interned_batch
+// is therefore the single-store total; pre-plane sharding paid
+// ~shard_groups times it, the shared plane pays it once
+// (configs_interned_sharded_cold) and a warm start pays nothing
+// (configs_interned_sharded_warm_delta == 0, asserted).
 bool RunWorkload(const xml::Tree& tree, const xml::DocPlane& plane,
                  common::ThreadPool& pool, const std::string& name,
                  const std::vector<std::string>& queries,
-                 WorkloadResult* out) {
-  out->name = name;
+                 SmokeReport* report) {
   const int batch = static_cast<int>(queries.size());
   std::vector<automata::Mfa> mfas = CompileWorkload(queries);
   std::vector<const automata::Mfa*> ptrs;
   for (const automata::Mfa& m : mfas) ptrs.push_back(&m);
 
   const Reference ref = SoloReference(tree, plane, mfas);
+  int64_t configs_batch = 0;
+  int64_t configs_sharded_cold = 0;
+  int64_t configs_sharded_warm_delta = 0;
+  int num_groups = 0;
 
   // Batched, full columnar DFS vs jump -- bit-identity gate before timing.
-  double* batch_slots[2] = {&out->batch_full_qps, &out->batch_jump_qps};
   for (bool jump : {false, true}) {
+    const std::string mode = name + (jump ? "/batch_jump" : "/batch_full");
     hype::BatchHypeOptions options;
     options.plane = &plane;
     options.enable_jump = jump;
     hype::BatchHypeEvaluator eval(tree, ptrs, options);
     if (!GateAgainstReference(
             ref, eval.EvalAll(tree.root()),
-            [&](size_t i) { return eval.stats(i); },
-            jump ? (name + "/batch_jump").c_str()
-                 : (name + "/batch_full").c_str())) {
+            [&](size_t i) { return eval.stats(i); }, mode.c_str())) {
       return false;
     }
     if (jump) {
-      out->configs_batch = 0;
       for (size_t i = 0; i < mfas.size(); ++i) {
-        out->configs_batch += eval.stats(i).configs_interned;
+        configs_batch += eval.stats(i).configs_interned;
       }
     }
-    *batch_slots[jump ? 1 : 0] = batch / BestSecondsPerRound([&] {
+    report->metrics[mode + "_qps"] = batch / BestSecondsPerRound([&] {
       benchmark::DoNotOptimize(eval.EvalAll(tree.root()));
     });
     if (jump) {
       int64_t walk = eval.pass_stats().nodes_walked +
                      eval.pass_stats().positions_jumped;
-      out->jumped_fraction =
+      // Positions jumped over the positions of a full walk.
+      report->info[name + "/jumped_fraction"] =
           walk > 0 ? static_cast<double>(eval.pass_stats().positions_jumped) /
                          static_cast<double>(walk)
                    : 0.0;
@@ -305,9 +295,9 @@ bool RunWorkload(const xml::Tree& tree, const xml::DocPlane& plane,
 
   // Sharded over the pool: jump off reproduces the PR 3 baseline, jump on
   // is the new default.
-  double* sharded_slots[2] = {&out->sharded_baseline_qps,
-                              &out->sharded_jump_qps};
   for (bool jump : {false, true}) {
+    const std::string mode =
+        name + (jump ? "/sharded_jump" : "/sharded_baseline");
     exec::ShardedOptions options;
     options.plane = &plane;
     options.pool = &pool;
@@ -315,128 +305,88 @@ bool RunWorkload(const xml::Tree& tree, const xml::DocPlane& plane,
     exec::ShardedBatchEvaluator eval(tree, ptrs, options);
     if (!GateAgainstReference(
             ref, eval.EvalAll(tree.root()),
-            [&](size_t i) { return eval.merged_stats(i); },
-            jump ? (name + "/sharded_jump").c_str()
-                 : (name + "/sharded_baseline").c_str())) {
+            [&](size_t i) { return eval.merged_stats(i); }, mode.c_str())) {
       return false;
     }
     if (jump) {
       // Cold total across worker engines (attribution of the shared
       // planes), then the warm-start delta of a second pass: engine
       // counters are cumulative, so any growth is a fresh insertion.
-      out->num_groups = eval.stats().num_groups;
-      out->configs_sharded_cold = 0;
+      num_groups = eval.stats().num_groups;
       for (size_t i = 0; i < mfas.size(); ++i) {
-        out->configs_sharded_cold += eval.merged_stats(i).configs_interned;
+        configs_sharded_cold += eval.merged_stats(i).configs_interned;
       }
       benchmark::DoNotOptimize(eval.EvalAll(tree.root()));
       int64_t warm_total = 0;
       for (size_t i = 0; i < mfas.size(); ++i) {
         warm_total += eval.merged_stats(i).configs_interned;
       }
-      out->configs_sharded_warm_delta = warm_total - out->configs_sharded_cold;
+      configs_sharded_warm_delta = warm_total - configs_sharded_cold;
     }
-    *sharded_slots[jump ? 1 : 0] = batch / BestSecondsPerRound([&] {
+    report->metrics[mode + "_qps"] = batch / BestSecondsPerRound([&] {
       benchmark::DoNotOptimize(eval.EvalAll(tree.root()));
     });
   }
+  report->info[name + "/speedup_jump_vs_sharded_baseline"] =
+      report->metrics[name + "/sharded_jump_qps"] /
+      report->metrics[name + "/sharded_baseline_qps"];
+  report->info[name + "/configs_interned_batch"] = configs_batch;
+  report->info[name + "/shard_groups"] = num_groups;
+  report->counters[name + "/configs_interned_sharded_cold"] =
+      configs_sharded_cold;
+  report->counters[name + "/configs_interned_sharded_warm_delta"] =
+      configs_sharded_warm_delta;
 
-  // Interning bars (see WorkloadResult): warm sharded starts must insert
-  // nothing, and the cold sharded pass must stay at ~one interning universe
-  // per query -- pre-plane it was ~num_groups of them.
-  if (out->configs_sharded_warm_delta != 0) {
+  // Interning bars: warm sharded starts must insert nothing, and the cold
+  // sharded pass must stay at ~one interning universe per query --
+  // pre-plane it was ~num_groups of them.
+  if (configs_sharded_warm_delta != 0) {
     std::fprintf(stderr,
                  "%s: FAIL: warm sharded pass interned %lld new configs\n",
                  name.c_str(),
-                 static_cast<long long>(out->configs_sharded_warm_delta));
+                 static_cast<long long>(configs_sharded_warm_delta));
     return false;
   }
-  if (out->num_groups >= 2 &&
-      out->configs_sharded_cold * 2 > out->configs_batch * 3) {
+  if (num_groups >= 2 && configs_sharded_cold * 2 > configs_batch * 3) {
     std::fprintf(
         stderr,
         "%s: FAIL: cold sharded interning %lld exceeds 1.5x the single-store "
         "total %lld (plane sharing regressed toward per-shard stores)\n",
-        name.c_str(), static_cast<long long>(out->configs_sharded_cold),
-        static_cast<long long>(out->configs_batch));
+        name.c_str(), static_cast<long long>(configs_sharded_cold),
+        static_cast<long long>(configs_batch));
     return false;
   }
   return true;
 }
 
-int WriteJsonSmoke(const std::string& path) {
+int RunSmoke(SmokeReport* report) {
   const xml::Tree tree = SparseDoc(BenchElements());
   const xml::DocPlane plane = xml::DocPlane::Build(tree);
   common::ThreadPool pool(ShardedPoolWidth());
+  report->info["elements"] = tree.CountElements();
+  report->info["pool_threads"] = pool.num_threads();
+  report->info["plane_bytes"] = plane.MemoryBytes();
 
-  std::vector<WorkloadResult> results(3);
   if (!RunWorkload(tree, plane, pool, "sparse_nav", SparseNavWorkload(),
-                   &results[0]) ||
+                   report) ||
       !RunWorkload(tree, plane, pool, "sparse_mixed", SparseMixedWorkload(),
-                   &results[1]) ||
+                   report) ||
       !RunWorkload(tree, plane, pool, "dense_nav", DenseNavWorkload(),
-                   &results[2])) {
-    return 1;  // bit-identity gate failed
+                   report)) {
+    return 1;  // bit-identity or interning gate failed
   }
-
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"elements\": %d,\n  \"pool_threads\": %d,\n"
-               "  \"plane_bytes\": %zu,\n  \"workloads\": [\n",
-               tree.CountElements(), pool.num_threads(), plane.MemoryBytes());
-  for (size_t i = 0; i < results.size(); ++i) {
-    const WorkloadResult& r = results[i];
-    const double speedup = r.sharded_baseline_qps > 0
-                               ? r.sharded_jump_qps / r.sharded_baseline_qps
-                               : 0.0;
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"batch_full_qps\": %.1f, "
-                 "\"batch_jump_qps\": %.1f, \"sharded_baseline_qps\": %.1f, "
-                 "\"sharded_jump_qps\": %.1f, "
-                 "\"speedup_jump_vs_sharded_baseline\": %.2f, "
-                 "\"jumped_fraction\": %.4f, "
-                 "\"configs_interned_batch\": %lld, "
-                 "\"configs_interned_sharded_cold\": %lld, "
-                 "\"configs_interned_sharded_warm_delta\": %lld, "
-                 "\"shard_groups\": %d}%s\n",
-                 r.name.c_str(), r.batch_full_qps, r.batch_jump_qps,
-                 r.sharded_baseline_qps, r.sharded_jump_qps, speedup,
-                 r.jumped_fraction,
-                 static_cast<long long>(r.configs_batch),
-                 static_cast<long long>(r.configs_sharded_cold),
-                 static_cast<long long>(r.configs_sharded_warm_delta),
-                 r.num_groups, i + 1 < results.size() ? "," : "");
-    std::printf(
-        "%-13s batch %.0f -> %.0f qps, sharded %.0f -> %.0f qps "
-        "(jump x%.2f vs PR3 baseline, %.1f%% positions jumped; "
-        "%d groups intern %lld configs once, warm delta %lld)\n",
-        r.name.c_str(), r.batch_full_qps, r.batch_jump_qps,
-        r.sharded_baseline_qps, r.sharded_jump_qps, speedup,
-        100.0 * r.jumped_fraction, r.num_groups,
-        static_cast<long long>(r.configs_sharded_cold),
-        static_cast<long long>(r.configs_sharded_warm_delta));
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
 
   // The acceptance bar: jump mode must carry label-sparse workloads at
   // least 1.5x past the PR 3 sharded baseline.
   const double sparse_speedup =
-      results[0].sharded_baseline_qps > 0
-          ? results[0].sharded_jump_qps / results[0].sharded_baseline_qps
-          : 0.0;
-  if (sparse_speedup < 1.5) {
+      report->info["sparse_nav/speedup_jump_vs_sharded_baseline"];
+  if (!(sparse_speedup >= 1.5)) {
     std::fprintf(stderr,
                  "FAIL: sparse_nav jump speedup %.2fx < 1.5x over the "
                  "sharded baseline\n",
                  sparse_speedup);
     return 1;
   }
-  std::printf("wrote %s\n", path.c_str());
   return 0;
 }
 
@@ -444,17 +394,7 @@ int WriteJsonSmoke(const std::string& path) {
 }  // namespace smoqe::bench
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    constexpr std::string_view kJsonFlag = "--smoqe_json=";
-    if (arg.substr(0, kJsonFlag.size()) == kJsonFlag) {
-      return smoqe::bench::WriteJsonSmoke(
-          std::string(arg.substr(kJsonFlag.size())));
-    }
-  }
   smoqe::bench::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return smoqe::bench::SmokeMain(argc, argv, "docplane",
+                                 smoqe::bench::RunSmoke);
 }

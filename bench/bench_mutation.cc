@@ -26,13 +26,13 @@
 //     advanced through the published delta stream must end bit-identical
 //     to a cold evaluation of the final epoch;
 //  2. warm advance -- re-advancing over an already-seen document shape must
-//     intern ZERO configurations. The count is also exported as the
-//     mutation/configs_interned_warm_advance counter, which
+//     intern ZERO configurations. The count is also reported as the
+//     configs_interned_warm_advance counter, which
 //     ci/check_bench_regression.py gates at zero growth vs main.
 //
 // Modes: default = google-benchmark families (Mutation/*);
-// --smoqe_json=FILE = the self-timed smoke run above (BENCH_mutation.json
-// in CI). Document size scales with SMOQE_BENCH_PATIENTS.
+// --smoqe_json=FILE = the self-timed smoke run above (SmokeReport in
+// bench_common.h). Document size scales with SMOQE_BENCH_PATIENTS.
 
 #include <algorithm>
 #include <atomic>
@@ -41,7 +41,6 @@
 #include <mutex>
 #include <random>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -409,7 +408,7 @@ double Median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-int WriteJsonSmoke(const std::string& path) {
+int RunSmoke(SmokeReport* report) {
   const xml::Tree& doc = HospitalDoc(BasePatients());
   std::vector<automata::Mfa> mfas = CompileWorkload(MutationWorkload());
   std::vector<const automata::Mfa*> ptrs = Pointers(mfas);
@@ -467,32 +466,14 @@ int WriteJsonSmoke(const std::string& path) {
     advances_per_sec = static_cast<double>(advances) / elapsed;
   }
 
-  std::printf(
-      "readers=%d  read-only %.0f qps, mixed %.0f qps (median ratio %.2fx of "
-      "baseline), %.0f writes/s, %.0f advances/s\n",
-      ReaderThreads(), read_only_qps, mixed_qps, ratio, writes_per_sec,
-      advances_per_sec);
-
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"elements\": %d,\n  \"reader_threads\": %d,\n"
-               "  \"mutation\": {\n"
-               "    \"read_only_qps\": %.1f,\n"
-               "    \"mixed_qps\": %.1f,\n"
-               "    \"writes_per_sec\": %.1f,\n"
-               "    \"advances_per_sec\": %.1f,\n"
-               "    \"mixed_over_read_only\": %.3f,\n"
-               "    \"counters\": {\n"
-               "      \"configs_interned_warm_advance\": %lld\n"
-               "    }\n  }\n}\n",
-               doc.CountElements(), ReaderThreads(), read_only_qps, mixed_qps,
-               writes_per_sec, advances_per_sec, ratio,
-               static_cast<long long>(warm_interned));
-  std::fclose(out);
+  report->info["elements"] = doc.CountElements();
+  report->info["reader_threads"] = ReaderThreads();
+  report->info["mixed_over_read_only"] = ratio;
+  report->metrics["read_only_qps"] = read_only_qps;
+  report->metrics["mixed_qps"] = mixed_qps;
+  report->metrics["writes_per_sec"] = writes_per_sec;
+  report->metrics["advances_per_sec"] = advances_per_sec;
+  report->counters["configs_interned_warm_advance"] = warm_interned;
 
   // The acceptance bar: concurrent writes may cost readers at most 30%.
   if (ratio < 0.7) {
@@ -502,7 +483,6 @@ int WriteJsonSmoke(const std::string& path) {
                  ratio);
     return 1;
   }
-  std::printf("wrote %s\n", path.c_str());
   return 0;
 }
 
@@ -552,17 +532,7 @@ void RegisterAll() {
 }  // namespace smoqe::bench
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    constexpr std::string_view kJsonFlag = "--smoqe_json=";
-    if (arg.substr(0, kJsonFlag.size()) == kJsonFlag) {
-      return smoqe::bench::WriteJsonSmoke(
-          std::string(arg.substr(kJsonFlag.size())));
-    }
-  }
   smoqe::bench::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return smoqe::bench::SmokeMain(argc, argv, "mutation",
+                                 smoqe::bench::RunSmoke);
 }

@@ -6,12 +6,11 @@
 //
 // Two modes:
 //  * default: google-benchmark binary (Sharded/* and Service/* families);
-//  * --smoqe_json=FILE: a short self-timed smoke run writing queries/sec per
-//    thread count and per client count to FILE (BENCH_parallel.json in CI,
-//    consumed by the bench regression gate). Every sharded timing is
-//    preceded by a bit-identity check against the solo BatchHypeEvaluator;
-//    a mismatch aborts the run. Combine with SMOQE_BENCH_PATIENTS to shrink
-//    the document.
+//  * --smoqe_json=FILE: a short self-timed smoke run reporting queries/sec
+//    per thread count and per client count (SmokeReport in
+//    bench_common.h). Every sharded timing is preceded by a bit-identity
+//    check against the solo BatchHypeEvaluator; a mismatch aborts the run.
+//    Combine with SMOQE_BENCH_PATIENTS to shrink the document.
 
 #include <algorithm>
 #include <atomic>
@@ -20,7 +19,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -219,36 +217,27 @@ void RegisterAll() {
 
 // ---- --smoqe_json smoke mode ----
 
-int WriteJsonSmoke(const std::string& path) {
+int RunSmoke(SmokeReport* report) {
   const xml::Tree& tree = HospitalDoc(BasePatients());
   constexpr int kBatch = 64;
   const std::vector<std::string> workload = MakeWorkload(kBatch);
   std::vector<automata::Mfa> mfas = CompileWorkload(workload);
   std::vector<const automata::Mfa*> ptrs;
   for (const automata::Mfa& mfa : mfas) ptrs.push_back(&mfa);
+  report->info["elements"] = tree.CountElements();
+  report->info["hardware_threads"] = common::ThreadPool::HardwareThreads();
+  report->info["batch"] = kBatch;
 
   // Solo baseline: the single-threaded batched pass.
   hype::BatchHypeOptions solo_options;
   solo_options.plane = &PlaneFor(tree);
   hype::BatchHypeEvaluator solo(tree, ptrs, solo_options);
   std::vector<std::vector<xml::NodeId>> expected = solo.EvalAll(tree.root());
-  double solo_qps = kBatch / BestSecondsPerRound([&] {
+  const double solo_qps = kBatch / BestSecondsPerRound([&] {
     benchmark::DoNotOptimize(solo.EvalAll(tree.root()));
   });
+  report->metrics["solo_qps"] = solo_qps;
 
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"patients\": %d,\n  \"elements\": %d,\n"
-               "  \"hardware_threads\": %d,\n  \"batch\": %d,\n"
-               "  \"solo_qps\": %.1f,\n  \"sharded\": [\n",
-               BasePatients(), tree.CountElements(),
-               common::ThreadPool::HardwareThreads(), kBatch, solo_qps);
-
-  bool first = true;
   for (int threads : {1, 2, 4, 8}) {
     common::ThreadPool pool(threads);
     exec::ShardedOptions options;
@@ -259,22 +248,18 @@ int WriteJsonSmoke(const std::string& path) {
     // solo answers exactly.
     if (eval.EvalAll(tree.root()) != expected) {
       std::fprintf(stderr, "sharded/solo mismatch at %d threads\n", threads);
-      std::fclose(out);
       return 1;
     }
     double qps = kBatch / BestSecondsPerRound([&] {
       benchmark::DoNotOptimize(eval.EvalAll(tree.root()));
     });
-    std::fprintf(out,
-                 "%s    {\"threads\": %d, \"units\": %d, \"groups\": %d, "
-                 "\"qps\": %.1f, \"speedup_vs_solo\": %.2f}",
-                 first ? "" : ",\n", threads, eval.stats().num_units,
-                 eval.stats().num_groups, qps, qps / solo_qps);
-    first = false;
+    const std::string key = "sharded/threads=" + std::to_string(threads);
+    report->metrics[key + "/qps"] = qps;
+    report->info[key + "/units"] = eval.stats().num_units;
+    report->info[key + "/groups"] = eval.stats().num_groups;
+    report->info[key + "/speedup_vs_solo"] = qps / solo_qps;
   }
-  std::fprintf(out, "\n  ],\n  \"service\": [\n");
 
-  first = true;
   for (int clients : {1, 8, 32, 64}) {
     exec::QueryServiceOptions options;
     options.plane = &PlaneFor(tree);
@@ -288,52 +273,27 @@ int WriteJsonSmoke(const std::string& path) {
     });
     if (errors.load() != 0) {
       std::fprintf(stderr, "service errors at %d clients\n", clients);
-      std::fclose(out);
       return 1;
     }
-    // Snapshot the admission/cache counters of everything this
-    // configuration served: how batches closed, compile-cache efficiency,
-    // and same-MFA coalescing.
+    // The admission/cache counters of everything this configuration
+    // served: how batches closed, compile-cache efficiency, and same-MFA
+    // coalescing. The smoke workload carries no deadlines or cancellations,
+    // so any timed-out, shed, cancelled or retried query is the overload
+    // machinery misfiring: those four are gated counters.
     const exec::QueryServiceStats st = service.stats();
-    std::fprintf(out,
-                 "%s    {\"clients\": %d, \"qps\": %.1f, "
-                 "\"batches\": %lld, \"batches_full\": %lld, "
-                 "\"batches_aged\": %lld, \"cache_hits\": %lld, "
-                 "\"cache_misses\": %lld, \"coalesced\": %lld, "
-                 "\"queries_timed_out\": %lld, \"queries_shed\": %lld, "
-                 "\"queries_cancelled\": %lld, \"queries_retried\": %lld}",
-                 first ? "" : ",\n", clients,
-                 clients * kQueriesPerClient / secs,
-                 static_cast<long long>(st.batches),
-                 static_cast<long long>(st.batches_full),
-                 static_cast<long long>(st.batches_aged),
-                 static_cast<long long>(st.cache.hits),
-                 static_cast<long long>(st.cache.misses),
-                 static_cast<long long>(st.coalesced_duplicates),
-                 static_cast<long long>(st.queries_timed_out),
-                 static_cast<long long>(st.queries_shed),
-                 static_cast<long long>(st.queries_cancelled),
-                 static_cast<long long>(st.queries_retried));
-    std::printf(
-        "service clients=%d: %lld batches (%lld full, %lld aged), "
-        "rewrite cache %lld hits / %lld misses, %lld coalesced, "
-        "%lld timed out / %lld shed / "
-        "%lld cancelled / %lld retried\n",
-        clients, static_cast<long long>(st.batches),
-        static_cast<long long>(st.batches_full),
-        static_cast<long long>(st.batches_aged),
-        static_cast<long long>(st.cache.hits),
-        static_cast<long long>(st.cache.misses),
-        static_cast<long long>(st.coalesced_duplicates),
-        static_cast<long long>(st.queries_timed_out),
-        static_cast<long long>(st.queries_shed),
-        static_cast<long long>(st.queries_cancelled),
-        static_cast<long long>(st.queries_retried));
-    first = false;
+    const std::string key = "service/clients=" + std::to_string(clients);
+    report->metrics[key + "/qps"] = clients * kQueriesPerClient / secs;
+    report->info[key + "/batches"] = st.batches;
+    report->info[key + "/batches_full"] = st.batches_full;
+    report->info[key + "/batches_aged"] = st.batches_aged;
+    report->info[key + "/cache_hits"] = st.cache.hits;
+    report->info[key + "/cache_misses"] = st.cache.misses;
+    report->info[key + "/coalesced"] = st.coalesced_duplicates;
+    report->counters[key + "/queries_timed_out"] = st.queries_timed_out;
+    report->counters[key + "/queries_shed"] = st.queries_shed;
+    report->counters[key + "/queries_cancelled"] = st.queries_cancelled;
+    report->counters[key + "/queries_retried"] = st.queries_retried;
   }
-  std::fprintf(out, "\n  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path.c_str());
   return 0;
 }
 
@@ -341,17 +301,7 @@ int WriteJsonSmoke(const std::string& path) {
 }  // namespace smoqe::bench
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    constexpr std::string_view kJsonFlag = "--smoqe_json=";
-    if (arg.substr(0, kJsonFlag.size()) == kJsonFlag) {
-      return smoqe::bench::WriteJsonSmoke(
-          std::string(arg.substr(kJsonFlag.size())));
-    }
-  }
   smoqe::bench::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return smoqe::bench::SmokeMain(argc, argv, "parallel",
+                                 smoqe::bench::RunSmoke);
 }

@@ -23,12 +23,12 @@
 // from-scratch Build, and the recovered version equal to the published
 // version. The gate also re-checks the store's own failure counters: a
 // healthy run must finish with zero rollbacks and zero failed compactions
-// (exported as counters; ci/check_bench_regression.py gates them at zero
+// (reported as counters; ci/check_bench_regression.py gates them at zero
 // growth vs main).
 //
 // Modes: default = google-benchmark families (Recovery/*);
-// --smoqe_json=FILE = the self-timed smoke run above (BENCH_recovery.json
-// in CI). Document size scales with SMOQE_BENCH_PATIENTS.
+// --smoqe_json=FILE = the self-timed smoke run above (SmokeReport in
+// bench_common.h). Document size scales with SMOQE_BENCH_PATIENTS.
 
 #include <chrono>
 #include <cstdio>
@@ -36,7 +36,6 @@
 #include <memory>
 #include <random>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -298,7 +297,7 @@ double MixedPhaseDurable(const xml::Tree& doc,
   return static_cast<double>(ops) / Seconds(start);
 }
 
-int WriteJsonSmoke(const std::string& path) {
+int RunSmoke(SmokeReport* report) {
   const xml::Tree& doc = HospitalDoc(BasePatients());
   const std::vector<std::string> workload = RecoveryWorkload();
 
@@ -319,35 +318,15 @@ int WriteJsonSmoke(const std::string& path) {
       MixedPhaseDurable(doc, workload, FreshDir("mixed"), &durable_stats);
   const double ratio = inmemory_qps > 0 ? durable_qps / inmemory_qps : 0.0;
 
-  std::printf(
-      "cold start: %.1f recoveries/s vs %.1f reparses/s; mixed 90/10: "
-      "in-memory %.0f ops/s, durable %.0f ops/s (%.2fx)\n",
-      recoveries_per_sec, reparses_per_sec, inmemory_qps, durable_qps, ratio);
-
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"elements\": %d,\n"
-               "  \"recovery\": {\n"
-               "    \"recoveries_per_sec\": %.1f,\n"
-               "    \"reparses_per_sec\": %.1f,\n"
-               "    \"inmemory_mixed_qps\": %.1f,\n"
-               "    \"durable_mixed_qps\": %.1f,\n"
-               "    \"durable_over_inmemory\": %.3f,\n"
-               "    \"counters\": {\n"
-               "      \"wal_rollbacks\": %lld,\n"
-               "      \"compactions_failed\": %lld,\n"
-               "      \"recovery_bytes_truncated\": %lld\n"
-               "    }\n  }\n}\n",
-               doc.CountElements(), recoveries_per_sec, reparses_per_sec,
-               inmemory_qps, durable_qps, ratio,
-               static_cast<long long>(durable_stats.wal_rollbacks),
-               static_cast<long long>(durable_stats.compactions_failed),
-               static_cast<long long>(bytes_truncated));
-  std::fclose(out);
+  report->info["elements"] = doc.CountElements();
+  report->info["durable_over_inmemory"] = ratio;
+  report->metrics["recoveries_per_sec"] = recoveries_per_sec;
+  report->metrics["reparses_per_sec"] = reparses_per_sec;
+  report->metrics["inmemory_mixed_qps"] = inmemory_qps;
+  report->metrics["durable_mixed_qps"] = durable_qps;
+  report->counters["wal_rollbacks"] = durable_stats.wal_rollbacks;
+  report->counters["compactions_failed"] = durable_stats.compactions_failed;
+  report->counters["recovery_bytes_truncated"] = bytes_truncated;
 
   // The acceptance bar: full crash safety (a WAL append + fsync on every
   // write, epoch swap on publish) may cost at most half the mixed
@@ -359,7 +338,6 @@ int WriteJsonSmoke(const std::string& path) {
                  ratio);
     return 1;
   }
-  std::printf("wrote %s\n", path.c_str());
   return 0;
 }
 
@@ -428,17 +406,7 @@ void RegisterAll() {
 }  // namespace smoqe::bench
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    constexpr std::string_view kJsonFlag = "--smoqe_json=";
-    if (arg.substr(0, kJsonFlag.size()) == kJsonFlag) {
-      return smoqe::bench::WriteJsonSmoke(
-          std::string(arg.substr(kJsonFlag.size())));
-    }
-  }
   smoqe::bench::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return smoqe::bench::SmokeMain(argc, argv, "recovery",
+                                 smoqe::bench::RunSmoke);
 }

@@ -2,14 +2,13 @@
 // produces an MFA of size O(|Q| |sigma| |D_V|). We grow |Q| along three query
 // families over the hospital view and report rewriting time plus MFA size.
 //
-// --smoqe_json=FILE additionally runs the query-compilation smoke bench
-// (BENCH_rewrite.json in CI, gated by ci/check_bench_regression.py): full
-// compile pipeline on a cold RewriteCache vs a warm cache hit, and cold vs
-// plane-warm engine starts (first evaluation through a fresh
-// hype::TransitionPlane vs a fresh engine on an already-warm shared plane).
-// Counters record the plane insertions of each phase; warm starts must
-// intern exactly zero configurations -- asserted here and gated against
-// growth by the CI regression check.
+// --smoqe_json=FILE instead runs the query-compilation smoke bench
+// (SmokeReport in bench_common.h): full compile pipeline on a cold
+// RewriteCache vs a warm cache hit, and cold vs plane-warm engine starts
+// (first evaluation through a fresh hype::TransitionPlane vs a fresh engine
+// on an already-warm shared plane). Counters record the plane insertions of
+// each phase; warm starts must intern exactly zero configurations --
+// asserted here and gated against growth by ci/check_bench_regression.py.
 
 #include <benchmark/benchmark.h>
 
@@ -18,7 +17,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -119,7 +117,7 @@ std::vector<std::string> SmokeWorkload() {
   return queries;
 }
 
-int WriteJsonSmoke(const std::string& path) {
+int RunSmoke(smoqe::bench::SmokeReport* report) {
   using smoqe::rewrite::RewriteCache;
   const smoqe::view::ViewDef& view = Hospital();
   const std::vector<std::string> queries = SmokeWorkload();
@@ -201,49 +199,21 @@ int WriteJsonSmoke(const std::string& path) {
     return 1;
   }
 
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(
-      out,
-      "{\n  \"queries\": %d,\n  \"doc_elements\": %d,\n"
-      "  \"compiles_per_sec\": %.1f,\n  \"cache_hits_per_sec\": %.1f,\n"
-      "  \"cold_starts_per_sec\": %.1f,\n  \"warm_starts_per_sec\": %.1f,\n"
-      "  \"hit_speedup\": %.2f,\n  \"warm_start_speedup\": %.2f,\n"
-      "  \"counters\": {\n"
-      "    \"cold_configs_interned\": %lld,\n"
-      "    \"warm_configs_interned\": %lld\n  }\n}\n",
-      num_queries, doc.CountElements(), 1.0 / compile_cold_s,
-      1.0 / cache_hit_s, 1.0 / cold_start_s, 1.0 / warm_start_s,
-      compile_cold_s / cache_hit_s, cold_start_s / warm_start_s,
-      static_cast<long long>(cold_interned),
-      static_cast<long long>(warm_interned));
-  std::fclose(out);
-  std::printf(
-      "compile %.1f/s -> cache hit %.1f/s (x%.1f); engine start cold %.1f/s "
-      "-> plane-warm %.1f/s (x%.2f, %lld -> %lld configs interned)\n",
-      1.0 / compile_cold_s, 1.0 / cache_hit_s, compile_cold_s / cache_hit_s,
-      1.0 / cold_start_s, 1.0 / warm_start_s, cold_start_s / warm_start_s,
-      static_cast<long long>(cold_interned),
-      static_cast<long long>(warm_interned));
-  std::printf("wrote %s\n", path.c_str());
+  report->info["queries"] = num_queries;
+  report->info["elements"] = doc.CountElements();
+  report->info["hit_speedup"] = compile_cold_s / cache_hit_s;
+  report->info["warm_start_speedup"] = cold_start_s / warm_start_s;
+  report->metrics["compiles_per_sec"] = 1.0 / compile_cold_s;
+  report->metrics["cache_hits_per_sec"] = 1.0 / cache_hit_s;
+  report->metrics["cold_starts_per_sec"] = 1.0 / cold_start_s;
+  report->metrics["warm_starts_per_sec"] = 1.0 / warm_start_s;
+  report->counters["cold_configs_interned"] = cold_interned;
+  report->counters["warm_configs_interned"] = warm_interned;
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    constexpr std::string_view kJsonFlag = "--smoqe_json=";
-    if (arg.substr(0, kJsonFlag.size()) == kJsonFlag) {
-      return WriteJsonSmoke(std::string(arg.substr(kJsonFlag.size())));
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return smoqe::bench::SmokeMain(argc, argv, "rewrite", RunSmoke);
 }

@@ -8,10 +8,10 @@
 //
 // Two modes:
 //  * default: google-benchmark binary (Throughput/* and Rewrite/* families);
-//  * --smoqe_json=FILE: a short self-timed smoke run that writes
-//    machine-readable queries/sec per batch size to FILE (used by the CI
-//    benchmark smoke job to seed the perf trajectory). Combine with
-//    SMOQE_BENCH_PATIENTS to shrink the document.
+//  * --smoqe_json=FILE: a short self-timed smoke run that reports
+//    queries/sec per batch size and index setting (SmokeReport in
+//    bench_common.h). Combine with SMOQE_BENCH_PATIENTS to shrink the
+//    document.
 
 #include <algorithm>
 #include <chrono>
@@ -19,7 +19,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "automata/compiler.h"
@@ -263,20 +262,12 @@ void RegisterAll() {
 
 // ---- --smoqe_json smoke mode ----
 
-int WriteJsonSmoke(const std::string& path) {
+int RunSmoke(SmokeReport* report) {
   const xml::Tree& tree = HospitalDoc(BasePatients());
   std::vector<std::string> workload = MakeWorkload(64);
   std::vector<automata::Mfa> mfas = CompileWorkload(workload);
+  report->info["elements"] = tree.CountElements();
 
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"patients\": %d,\n  \"elements\": %d,\n"
-               "  \"results\": [\n", BasePatients(), tree.CountElements());
-
-  bool first = true;
   for (bool indexed : {false, true}) {
     for (int batch : {1, 4, 16, 64}) {
       hype::HypeOptions solo_options;
@@ -307,27 +298,19 @@ int WriteJsonSmoke(const std::string& path) {
         if (evals[i]->Eval(tree.root()) != batched_answers[i]) {
           std::fprintf(stderr, "batched/per-query mismatch on %s\n",
                        workload[i].c_str());
-          std::fclose(out);
           return 1;
         }
       }
-      double per_query = BestSecondsPerRound(run_per_query);
-      double batched = BestSecondsPerRound(run_batched);
-      double pq_qps = batch / per_query;
-      double b_qps = batch / batched;
+      double pq_qps = batch / BestSecondsPerRound(run_per_query);
+      double b_qps = batch / BestSecondsPerRound(run_batched);
 
-      std::fprintf(out,
-                   "%s    {\"batch\": %d, \"indexed\": %s, "
-                   "\"per_query_qps\": %.1f, \"batched_qps\": %.1f, "
-                   "\"speedup\": %.2f}",
-                   first ? "" : ",\n", batch, indexed ? "true" : "false",
-                   pq_qps, b_qps, b_qps / pq_qps);
-      first = false;
+      const std::string key = "batch=" + std::to_string(batch) +
+                              "/indexed=" + (indexed ? "true" : "false");
+      report->metrics[key + "/per_query_qps"] = pq_qps;
+      report->metrics[key + "/batched_qps"] = b_qps;
+      report->info[key + "/speedup"] = b_qps / pq_qps;
     }
   }
-  std::fprintf(out, "\n  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path.c_str());
   return 0;
 }
 
@@ -335,16 +318,7 @@ int WriteJsonSmoke(const std::string& path) {
 }  // namespace smoqe::bench
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    constexpr std::string_view kJsonFlag = "--smoqe_json=";
-    if (arg.substr(0, kJsonFlag.size()) == kJsonFlag) {
-      return smoqe::bench::WriteJsonSmoke(std::string(arg.substr(kJsonFlag.size())));
-    }
-  }
   smoqe::bench::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return smoqe::bench::SmokeMain(argc, argv, "throughput",
+                                 smoqe::bench::RunSmoke);
 }

@@ -1,9 +1,6 @@
 #include "common/fault_injection.h"
 
-#include <cstdlib>
-#include <string>
 #include <thread>
-#include <vector>
 
 namespace smoqe {
 
@@ -57,8 +54,8 @@ Status FaultInjector::HitWrite(FaultSite site, size_t len,
   uint64_t roll =
       Mix(seed_ ^ Mix(static_cast<uint64_t>(site) + 1) ^ Mix(n + 0x5151ULL));
   if (s.plan.window_count > 0) {
-    // Deterministic window (env specs, kill-point tests): fire on exactly
-    // the hits in [window_first, window_first + window_count).
+    // Deterministic window (kill-point tests): fire on exactly the hits
+    // in [window_first, window_first + window_count).
     if (n < s.plan.window_first ||
         n >= static_cast<uint64_t>(s.plan.window_first) + s.plan.window_count) {
       return Status::OK();
@@ -84,118 +81,6 @@ Status FaultInjector::HitWrite(FaultSite site, size_t len,
       break;
   }
   return Status::OK();
-}
-
-namespace {
-
-struct SiteName {
-  const char* name;
-  FaultSite site;
-};
-
-constexpr SiteName kSiteNames[] = {
-    {"shard_unit", FaultSite::kShardUnit},
-    {"epoch_apply", FaultSite::kEpochApply},
-    {"plane_intern", FaultSite::kPlaneIntern},
-    {"service_admit", FaultSite::kServiceAdmit},
-    {"service_dispatch", FaultSite::kServiceDispatch},
-    {"wal_append", FaultSite::kWalAppend},
-    {"wal_fsync", FaultSite::kWalFsync},
-    {"snapshot_write", FaultSite::kSnapshotWrite},
-    {"snapshot_rename", FaultSite::kSnapshotRename},
-};
-
-bool ParseU32(std::string_view s, uint32_t* out) {
-  if (s.empty() || s.size() > 9) return false;
-  uint32_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<uint32_t>(c - '0');
-  }
-  *out = v;
-  return true;
-}
-
-}  // namespace
-
-Status FaultInjector::SetPlansFromSpec(std::string_view spec) {
-  // Parse the whole spec before installing anything: a malformed entry must
-  // not leave a half-applied plan set behind.
-  struct Parsed {
-    FaultSite site = FaultSite::kShardUnit;
-    FaultPlan plan;
-  };
-  std::vector<Parsed> parsed;
-  size_t pos = 0;
-  while (pos <= spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string_view::npos) comma = spec.size();
-    std::string_view entry = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (entry.empty()) {
-      if (pos > spec.size()) break;  // trailing empty segment
-      return Status::InvalidArgument("SMOQE_FAULT_PLAN: empty entry");
-    }
-    // site:first_hit:count[:kind]
-    std::string_view fields[4];
-    int nfields = 0;
-    size_t fpos = 0;
-    while (nfields < 4 && fpos <= entry.size()) {
-      size_t colon = entry.find(':', fpos);
-      if (colon == std::string_view::npos) colon = entry.size();
-      fields[nfields++] = entry.substr(fpos, colon - fpos);
-      fpos = colon + 1;
-      if (colon == entry.size()) break;
-    }
-    if (nfields < 3 || (nfields == 4 && fpos <= entry.size())) {
-      return Status::InvalidArgument(
-          "SMOQE_FAULT_PLAN: entry '" + std::string(entry) +
-          "' is not site:first_hit:count[:kind]");
-    }
-    Parsed p;
-    bool known = false;
-    for (const SiteName& sn : kSiteNames) {
-      if (fields[0] == sn.name) {
-        p.site = sn.site;
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      return Status::InvalidArgument("SMOQE_FAULT_PLAN: unknown site '" +
-                                     std::string(fields[0]) + "'");
-    }
-    p.plan.kind = FaultKind::kTransientError;
-    if (!ParseU32(fields[1], &p.plan.window_first) ||
-        !ParseU32(fields[2], &p.plan.window_count) ||
-        p.plan.window_count == 0) {
-      return Status::InvalidArgument(
-          "SMOQE_FAULT_PLAN: bad window in '" + std::string(entry) +
-          "' (first_hit and a positive count required)");
-    }
-    if (nfields == 4) {
-      if (fields[3] == "error") {
-        p.plan.kind = FaultKind::kTransientError;
-      } else if (fields[3] == "alloc") {
-        p.plan.kind = FaultKind::kAllocFailure;
-      } else if (fields[3] == "torn") {
-        p.plan.kind = FaultKind::kTornWrite;
-      } else {
-        return Status::InvalidArgument("SMOQE_FAULT_PLAN: unknown kind '" +
-                                       std::string(fields[3]) + "'");
-      }
-    }
-    parsed.push_back(p);
-    if (comma == spec.size()) break;
-  }
-  for (const Parsed& p : parsed) SetPlan(p.site, p.plan);
-  return Status::OK();
-}
-
-Status FaultInjector::SetPlansFromEnv() {
-  const char* spec = std::getenv("SMOQE_FAULT_PLAN");
-  if (spec == nullptr || *spec == '\0') return Status::OK();
-  return SetPlansFromSpec(spec);
 }
 
 int64_t FaultInjector::hits(FaultSite site) const {

@@ -35,7 +35,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string_view>
 
 #include "common/status.h"
 
@@ -73,9 +72,9 @@ struct FaultPlan {
   // Fire on hits where Mix(seed, site, hit#) % one_in == 0; 1 = every hit.
   uint32_t one_in = 1;
   std::chrono::microseconds delay{0};
-  // Deterministic window (used by SMOQE_FAULT_PLAN env specs and kill-point
-  // tests): when window_count > 0 the site fires on exactly the hits in
-  // [window_first, window_first + window_count), ignoring one_in.
+  // Deterministic window (used by kill-point tests): when window_count > 0
+  // the site fires on exactly the hits in [window_first, window_first +
+  // window_count), ignoring one_in.
   uint32_t window_first = 0;
   uint32_t window_count = 0;
 };
@@ -97,23 +96,6 @@ class FaultInjector {
   void Disarm();
 
   void SetPlan(FaultSite site, FaultPlan plan);
-
-  /// Parses a `SMOQE_FAULT_PLAN`-style spec -- comma-separated
-  /// `site:first_hit:count` entries, e.g. `"wal_append:3:1,wal_fsync:0:2"`
-  /// -- and installs a kTransientError plan with that deterministic window
-  /// per named site. Call between Arm() and the workload (plans are written
-  /// only while quiescent). Site names are the enumerators in snake_case
-  /// without the `k` (`shard_unit`, `epoch_apply`, `plane_intern`,
-  /// `service_admit`, `service_dispatch`, `wal_append`, `wal_fsync`,
-  /// `snapshot_write`, `snapshot_rename`); an optional fourth field names
-  /// the kind (`error`, `alloc`, `torn`). Malformed specs reject the whole
-  /// string and install nothing.
-  Status SetPlansFromSpec(std::string_view spec);
-
-  /// SetPlansFromSpec over the SMOQE_FAULT_PLAN environment variable; a
-  /// no-op Status::OK() when the variable is unset or empty. Lets CI chaos
-  /// jobs vary scenarios per run without recompiling.
-  Status SetPlansFromEnv();
 
   /// Called by a compiled-in site. Returns the injected Status (kOk when the
   /// site is unplanned or this hit does not fire). kDelay sleeps here;

@@ -171,9 +171,6 @@ class BatchHypeEvaluator {
   /// entered sum_i stats(i).elements_visited nodes in total.
   const SharedPassStats& pass_stats() const { return pass_stats_; }
 
-  /// Joint states interned so far (sharing diagnostics).
-  size_t num_joint_states() const { return states_.size(); }
-
  private:
   using SuccRef = HypeEngine::SuccRef;
 

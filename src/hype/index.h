@@ -73,10 +73,6 @@ class SubtreeLabelIndex {
     return true;
   }
 
-  int num_distinct_sets() const {
-    return words_ == 0 ? 0 : static_cast<int>(set_pool_.size() / words_);
-  }
-
   /// Index memory footprint (the number the OptHyPE-C comparison is about).
   size_t MemoryBytes() const;
 

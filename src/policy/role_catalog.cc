@@ -7,12 +7,11 @@ namespace smoqe::policy {
 
 namespace {
 
-// Per-role RewriteCache capacity (compiled (role, query) rewritings).
-constexpr size_t kRoleRewriteCapacity = 256;
-
-// Per-role plane store capacity: 0 = unbounded. The catalog bounds a
-// role's planes by evicting its whole partition.
-constexpr size_t kRolePlaneCapacity = 0;
+// Compiled queries a role keeps hot: its RewriteCache's capacity and its
+// plane store's soft cap on retained planes. Every rewrite miss makes a new
+// MFA and so a new plane, so an uncapped store would grow with every
+// distinct text the role ever served.
+constexpr size_t kRoleQueryCapacity = 256;
 
 }  // namespace
 
@@ -23,9 +22,9 @@ RoleCatalog::Entry::Entry(CompiledRole compiled, const xml::Tree& tree,
     // cache is never consulted (Compile's precondition).
     : compiled_(std::move(compiled)),
       cache_(compiled_.view.get(),
-             rewrite::RewriteCacheOptions{kRoleRewriteCapacity}),
+             rewrite::RewriteCacheOptions{kRoleQueryCapacity}),
       planes_(tree, index,
-              hype::TransitionPlaneStore::Options{kRolePlaneCapacity}) {}
+              hype::TransitionPlaneStore::Options{kRoleQueryCapacity}) {}
 
 StatusOr<rewrite::CompiledQuery> RoleCatalog::Entry::Compile(
     std::string_view query_text) {

@@ -19,10 +19,7 @@ class Builder {
     dtd::TypeId root_type = view_.view_dtd().root();
     xml::NodeId view_root = out_.tree.AddRoot(view_.view_dtd().type_name(root_type));
     out_.binding.push_back(source_.root());
-    plane_builder_.Enter(out_.tree.label(view_root), view_root);
     SMOQE_RETURN_IF_ERROR(Fill(root_type, source_.root(), view_root, 1));
-    out_.plane = plane_builder_.Finish(out_.tree.size(),
-                                       out_.tree.labels().size());
     return std::move(out_);
   }
 
@@ -36,14 +33,9 @@ class Builder {
   xml::NodeId AddChild(xml::NodeId parent, dtd::TypeId type, xml::NodeId src) {
     xml::NodeId v = out_.tree.AddElement(parent, view_.view_dtd().type_name(type));
     out_.binding.push_back(src);
-    plane_builder_.Enter(out_.tree.label(v), v);
     return v;
   }
 
-  // The recursion IS the preorder emission: `self` was Enter()ed when it was
-  // added, and exits once its whole subtree is filled -- the plane costs no
-  // pass of its own. Error paths skip Exit; the half-built plane is
-  // discarded with the rest of the failed materialization.
   Status Fill(dtd::TypeId type, xml::NodeId src, xml::NodeId self, int depth) {
     if (depth > opts_.max_depth) {
       return Err(type, src, "view depth limit exceeded (non-terminating view?)");
@@ -57,7 +49,6 @@ class Builder {
     }
     Status status = FillChildren(type, src, self, depth);
     on_path_.erase(key);
-    if (status.ok()) plane_builder_.Exit();
     return status;
   }
 
@@ -70,7 +61,6 @@ class Builder {
         if (!text.empty()) {
           out_.tree.AddText(self, text);
           out_.binding.push_back(xml::kNullNode);
-          plane_builder_.MarkText();
         }
         return Status::OK();
       }
@@ -148,7 +138,6 @@ class Builder {
   const MaterializeOptions& opts_;
   eval::NaiveEvaluator eval_;
   MaterializedView out_;
-  xml::DocPlane::Builder plane_builder_;
   std::unordered_set<uint64_t> on_path_;
 };
 

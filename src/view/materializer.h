@@ -22,7 +22,6 @@
 
 #include "common/status.h"
 #include "view/view_def.h"
-#include "xml/doc_plane.h"
 #include "xml/tree.h"
 
 namespace smoqe::view {
@@ -38,12 +37,6 @@ struct MaterializeOptions {
 struct MaterializedView {
   xml::Tree tree;                      // σ(T)
   std::vector<xml::NodeId> binding;    // view node -> source node (text: null)
-  /// Columnar plane of `tree`, emitted by the materializer's own top-down
-  /// recursion (xml::DocPlane::Builder) -- the view is born with its
-  /// traversal structure, no second O(N) build pass. Pass it to the
-  /// evaluators serving the view (HypeOptions/BatchHypeOptions/
-  /// ShardedOptions/QueryServiceOptions `.plane`).
-  xml::DocPlane plane;
 };
 
 StatusOr<MaterializedView> Materialize(const ViewDef& view,

@@ -2,121 +2,73 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string>
 
 namespace smoqe::xml {
 
-void DocPlane::Builder::Fail(const char* what) {
-  if (status_.ok()) {
-    status_ = Status::FailedPrecondition(std::string("DocPlane::Builder: ") +
-                                         what);
-  }
-}
-
-int32_t DocPlane::Builder::Enter(LabelId label, NodeId node) {
-  if (open_.empty() && !plane_.labels_.empty()) {
-    // The root already closed: this would emit a second root whose rows the
-    // extent arithmetic silently misattributes.
-    Fail("Enter after the root position closed");
-    return -1;
-  }
-  const int32_t pos = static_cast<int32_t>(plane_.labels_.size());
-  plane_.labels_.push_back(label);
-  plane_.parent_.push_back(open_.empty() ? -1 : open_.back());
-  plane_.depth_.push_back(static_cast<int32_t>(open_.size()));
-  plane_.extent_.push_back(0);  // fixed up at Exit
-  plane_.node_of_.push_back(node);
-  if ((pos & 63) == 0) plane_.text_bits_.push_back(0);
-  if (label >= static_cast<LabelId>(postings_.size())) {
-    postings_.resize(label + 1);
-  }
-  postings_[label].push_back(pos);
-  open_.push_back(pos);
-  return pos;
-}
-
-void DocPlane::Builder::MarkText() {
-  if (open_.empty()) {
-    // Used to flip a stale bit (whatever position happened to close last),
-    // corrupting the text() prefilter for an unrelated element.
-    Fail("MarkText with no open position");
-    return;
-  }
-  const int32_t pos = open_.back();
-  plane_.text_bits_[pos >> 6] |= uint64_t{1} << (pos & 63);
-}
-
-void DocPlane::Builder::Exit() {
-  if (open_.empty()) {
-    Fail("Exit with no open position");
-    return;
-  }
-  const int32_t pos = open_.back();
-  open_.pop_back();
-  plane_.extent_[pos] =
-      static_cast<int32_t>(plane_.labels_.size()) - pos - 1;
-}
-
-DocPlane DocPlane::Builder::Finish(int32_t tree_size, int32_t num_labels) {
-  if (!open_.empty()) {
-    Fail("Finish with positions still open (unbalanced Enter/Exit)");
-  }
-  if (!status_.ok()) return DocPlane();
-  plane_.pos_of_.assign(tree_size, -1);
-  for (int32_t pos = 0; pos < plane_.size(); ++pos) {
-    plane_.pos_of_[plane_.node_of_[pos]] = pos;
-  }
-
-  // Pack the per-label lists into one contiguous pool. Every position
-  // carries exactly one label, so the lists are pairwise disjoint --
-  // content-interning across labels would never fire; the pool's value is
-  // consolidation (one allocation, dense spans) alone.
-  if (num_labels > static_cast<int32_t>(postings_.size())) {
-    postings_.resize(num_labels);
-  }
-  plane_.posting_ref_.assign(postings_.size(), {0, 0});
-  plane_.posting_pool_.reserve(plane_.labels_.size());
-  for (size_t l = 0; l < postings_.size(); ++l) {
-    const std::vector<int32_t>& list = postings_[l];
-    if (list.empty()) continue;
-    const int32_t offset = static_cast<int32_t>(plane_.posting_pool_.size());
-    plane_.posting_pool_.insert(plane_.posting_pool_.end(), list.begin(),
-                                list.end());
-    plane_.posting_ref_[l] = {offset, static_cast<int32_t>(list.size())};
-  }
-  postings_.clear();
-  return std::move(plane_);
-}
-
 DocPlane DocPlane::Build(const Tree& tree) {
-  Builder builder;
-  if (tree.empty()) return builder.Finish(0, tree.labels().size());
-
+  DocPlane plane;
+  std::vector<std::vector<int32_t>> postings(tree.labels().size());
   // Explicit-stack preorder DFS over elements; node insertion order is
-  // irrelevant (generators may interleave subtree construction).
-  std::vector<NodeId> stack;  // elements entered, awaiting exit
-  stack.push_back(tree.root());
-  builder.Enter(tree.label(tree.root()), tree.root());
-  std::vector<NodeId> cursor;  // next child to consider per open element
-  cursor.push_back(tree.first_child(tree.root()));
-  while (!stack.empty()) {
-    NodeId c = cursor.back();
-    while (c != kNullNode && !tree.is_element(c)) {
-      if (tree.kind(c) == NodeKind::kText) builder.MarkText();
-      c = tree.next_sibling(c);
+  // irrelevant (generators may interleave subtree construction). Each open
+  // element holds its position and the next child to consider.
+  std::vector<std::pair<int32_t, NodeId>> open;
+  auto enter = [&](NodeId node) {
+    const int32_t pos = plane.size();
+    const LabelId label = tree.label(node);
+    plane.labels_.push_back(label);
+    plane.parent_.push_back(open.empty() ? -1 : open.back().first);
+    plane.depth_.push_back(static_cast<int32_t>(open.size()));
+    plane.extent_.push_back(0);  // fixed up once the subtree is done
+    plane.node_of_.push_back(node);
+    if ((pos & 63) == 0) plane.text_bits_.push_back(0);
+    postings[label].push_back(pos);  // positions arrive sorted
+    open.emplace_back(pos, tree.first_child(node));
+  };
+  if (!tree.empty()) enter(tree.root());
+  while (!open.empty()) {
+    auto& [pos, next] = open.back();
+    while (next != kNullNode && !tree.is_element(next)) {
+      if (tree.kind(next) == NodeKind::kText) {
+        plane.text_bits_[pos >> 6] |= uint64_t{1} << (pos & 63);
+      }
+      next = tree.next_sibling(next);
     }
-    if (c == kNullNode) {
-      builder.Exit();
-      stack.pop_back();
-      cursor.pop_back();
-      continue;
+    if (next == kNullNode) {
+      plane.extent_[pos] = plane.size() - pos - 1;
+      open.pop_back();
+    } else {
+      const NodeId child = next;
+      next = tree.next_sibling(child);
+      enter(child);  // may reallocate `open`; pos and next are dead here
     }
-    cursor.back() = tree.next_sibling(c);
-    builder.Enter(tree.label(c), c);
-    stack.push_back(c);
-    cursor.push_back(tree.first_child(c));
   }
-  return builder.Finish(tree.size(), tree.labels().size());
+  plane.Seal(tree, &postings);
+  return plane;
+}
+
+void DocPlane::Seal(const Tree& tree,
+                    std::vector<std::vector<int32_t>>* postings) {
+  // Rebuilt from scratch so slots of detached nodes read -1.
+  pos_of_.assign(tree.size(), -1);
+  for (int32_t pos = 0; pos < size(); ++pos) pos_of_[node_of_[pos]] = pos;
+
+  // Pack the per-label lists into one contiguous pool, in label order.
+  // Every position carries exactly one label, so the lists are pairwise
+  // disjoint -- content-interning across labels would never fire; the
+  // pool's value is consolidation (one allocation, dense spans) alone.
+  if (tree.labels().size() > static_cast<int32_t>(postings->size())) {
+    postings->resize(tree.labels().size());
+  }
+  posting_ref_.assign(postings->size(), {0, 0});
+  posting_pool_.reserve(labels_.size());
+  for (size_t l = 0; l < postings->size(); ++l) {
+    const std::vector<int32_t>& list = (*postings)[l];
+    if (list.empty()) continue;
+    const int32_t offset = static_cast<int32_t>(posting_pool_.size());
+    posting_pool_.insert(posting_pool_.end(), list.begin(), list.end());
+    posting_ref_[l] = {offset, static_cast<int32_t>(list.size())};
+  }
+  postings->clear();
 }
 
 bool DocPlane::SameAs(const DocPlane& other) const {
@@ -300,28 +252,7 @@ DocPlane DocPlane::Maintainer::Take(const Tree& tree) {
   for (int32_t pos = 0; pos < n; ++pos) {
     if (text_[pos]) plane.text_bits_[pos >> 6] |= uint64_t{1} << (pos & 63);
   }
-  // Rebuild pos_of_ from scratch so slots of detached nodes read -1,
-  // exactly as a from-scratch Build would report them.
-  plane.pos_of_.assign(tree.size(), -1);
-  for (int32_t pos = 0; pos < n; ++pos) {
-    plane.pos_of_[plane.node_of_[pos]] = pos;
-  }
-  // Pack postings identically to Builder::Finish (label order, empties
-  // skipped) so SameAs against a fresh Build can hold bit-for-bit.
-  if (tree.labels().size() > static_cast<int32_t>(postings_.size())) {
-    postings_.resize(tree.labels().size());
-  }
-  plane.posting_ref_.assign(postings_.size(), {0, 0});
-  plane.posting_pool_.reserve(plane.labels_.size());
-  for (size_t l = 0; l < postings_.size(); ++l) {
-    const std::vector<int32_t>& list = postings_[l];
-    if (list.empty()) continue;
-    const int32_t offset = static_cast<int32_t>(plane.posting_pool_.size());
-    plane.posting_pool_.insert(plane.posting_pool_.end(), list.begin(),
-                               list.end());
-    plane.posting_ref_[l] = {offset, static_cast<int32_t>(list.size())};
-  }
-  postings_.clear();
+  plane.Seal(tree, &postings_);
   return plane;
 }
 

@@ -42,12 +42,9 @@
 // candidate, accounting the skipped transparent positions in bulk (see the
 // jump-mode note in hype/batch_hype.h).
 //
-// Two ways to build one:
-//  * DocPlane::Build(tree): one explicit-stack DFS over a finished tree
-//    (any construction order -- NodeId order need not be preorder);
-//  * DocPlane::Builder: incremental preorder emission for builders that
-//    already produce the document depth-first. view::Materialize drives it
-//    so a materialized view carries its plane with no second pass.
+// DocPlane::Build(tree) makes one in a single explicit-stack DFS over a
+// finished tree (any construction order -- NodeId order need not be
+// preorder).
 //
 // The plane borrows the tree it mirrors (like SubtreeLabelIndex); it is
 // immutable after construction and safe to share read-only across threads.
@@ -68,14 +65,14 @@
 #include <vector>
 
 #include "common/name_table.h"
-#include "common/status.h"
 #include "xml/tree.h"
 
 namespace smoqe::xml {
 
 class DocPlane {
  public:
-  /// An empty plane (not usable for traversal); assign from Build/Finish.
+  /// An empty plane (not usable for traversal); assign from Build or
+  /// Maintainer::Take.
   DocPlane() = default;
 
   /// Mirrors a finished tree (one DFS; handles any node-insertion order).
@@ -117,15 +114,16 @@ class DocPlane {
   /// maintainer: a patched plane must SameAs a from-scratch Build.
   bool SameAs(const DocPlane& other) const;
 
-  /// Incremental preorder emission, for builders that already walk the
-  /// document depth-first (the materializer); defined below the class.
-  class Builder;
-
   /// Patches an existing plane after bounded-region tree edits; defined
-  /// below Builder.
+  /// below the class.
   class Maintainer;
 
  private:
+  /// Derives pos_of_ and the posting pool once the per-position columns
+  /// are filled; Build and Maintainer::Take both end here, so their planes
+  /// pack identically. Consumes `postings` (per-label sorted positions).
+  void Seal(const Tree& tree, std::vector<std::vector<int32_t>>* postings);
+
   std::vector<LabelId> labels_;
   std::vector<int32_t> parent_;
   std::vector<int32_t> depth_;
@@ -137,42 +135,6 @@ class DocPlane {
   // (see the design note).
   std::vector<int32_t> posting_pool_;
   std::vector<std::pair<int32_t, int32_t>> posting_ref_;
-};
-
-/// Usage per element: Enter at creation, Exit once its whole subtree is
-/// emitted; MarkText when a text child is appended. Finish packs the arrays
-/// once the root has exited.
-///
-/// Misuse (MarkText/Exit with no open position, a second root after the
-/// first closed, Finish with positions still open) is recorded in status()
-/// and the offending call becomes a no-op: silently accepting it used to
-/// corrupt text-presence bits and extents, which the Maintainer would then
-/// inherit into every later epoch. Finish on an errored builder returns an
-/// empty plane; callers that can fail mid-emission (the materializer's
-/// error paths) may simply abandon the builder.
-class DocPlane::Builder {
- public:
-  /// Opens a position for an element. Calls must be properly nested;
-  /// returns -1 (and records status) on a second root.
-  int32_t Enter(LabelId label, NodeId node);
-  /// Flags the innermost open position as having a text child.
-  void MarkText();
-  void Exit();
-  /// `tree_size`/`num_labels` size the NodeId map and the posting table.
-  DocPlane Finish(int32_t tree_size, int32_t num_labels);
-
-  /// OK, or the first misuse this builder saw.
-  const Status& status() const { return status_; }
-
- private:
-  void Fail(const char* what);
-
-  DocPlane plane_;
-  std::vector<int32_t> open_;  // stack of positions awaiting Exit
-  // Per-label postings accumulated before pooling (positions arrive in
-  // increasing order, so each list is born sorted).
-  std::vector<std::vector<int32_t>> postings_;
-  Status status_;
 };
 
 /// Derives the plane of an edited tree from the plane of its predecessor.

@@ -112,7 +112,6 @@ class Tree {
   bool HasText(NodeId id, std::string_view value) const;
 
   const NameTable& labels() const { return labels_; }
-  NameTable* mutable_labels() { return &labels_; }
 
   /// Number of REACHABLE element (resp. text) nodes -- detached subtrees are
   /// excluded, though their arena slots still count toward size(). O(1).

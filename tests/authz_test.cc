@@ -287,6 +287,38 @@ TEST(AuthzEvictionTest, EvictedPartitionIsReleasedAfterItsBatch) {
   EXPECT_TRUE(entry_a.expired());
 }
 
+// A busy role's plane store is capped like its rewrite cache. 300 distinct
+// texts sent twice miss the role's 256-entry rewrite cache every time (a
+// cyclic scan defeats an LRU), and every miss compiles a new MFA that gets
+// a new plane. An uncapped store kept all 600, each pinning its MFA.
+TEST(AuthzEvictionTest, BusyRolePlaneStoreStaysBounded) {
+  Policy p(TestDtd());
+  const RoleId role = p.AddRole("busy").take();
+
+  gen::GenericParams params;
+  params.seed = 7;
+  auto tree = gen::GenerateFromDtd(p.source_dtd(), params);
+  ASSERT_TRUE(tree.ok());
+
+  policy::RoleCatalog catalog(p, tree.value(), nullptr);
+  exec::QueryServiceOptions options;
+  options.catalog = &catalog;
+  exec::QueryService service(tree.value(), options);
+
+  exec::SubmitOptions submit;
+  submit.role = role;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::future<exec::QueryService::Answer>> answers;
+    for (int i = 0; i < 300; ++i) {
+      const std::string text = "a[t/text() = 'v" + std::to_string(i) + "']";
+      answers.push_back(service.Submit(text, submit));
+    }
+    for (auto& answer : answers) ASSERT_TRUE(answer.get().ok());
+  }
+  EXPECT_EQ(catalog.Acquire(role).value()->cache_stats().misses, 600);
+  EXPECT_LE(catalog.plane_stats().planes, 256);
+}
+
 // Concurrent role registration + eviction stress: 10 roles, a catalog that
 // holds at most 3 partitions, and 8 client threads hammering role-scoped
 // queries. Every answer must still match the per-role oracle computed up

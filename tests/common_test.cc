@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
-#include "common/fault_injection.h"
 #include "common/name_table.h"
 #include "common/status.h"
 
@@ -86,107 +83,6 @@ TEST(NameTableTest, NameRoundTrips) {
   NameTable t;
   LabelId id = t.Intern("diagnosis");
   EXPECT_EQ(t.name(id), "diagnosis");
-}
-
-// SMOQE_FAULT_PLAN spec parsing (PR 9). The parser itself is compiled
-// unconditionally (only the call-site macros gate on SMOQE_FAULT_INJECTION),
-// so these run in every configuration. Each test Arms (clearing plans and
-// counters) and Disarms so it leaves no plan behind for later suites.
-
-class FaultPlanSpecTest : public ::testing::Test {
- protected:
-  void SetUp() override { FaultInjector::Global().Arm(0x5EC5EC); }
-  void TearDown() override { FaultInjector::Global().Disarm(); }
-};
-
-TEST_F(FaultPlanSpecTest, InstallsDeterministicWindowsPerSite) {
-  auto& fi = FaultInjector::Global();
-  ASSERT_TRUE(
-      fi.SetPlansFromSpec("wal_append:2:1,wal_fsync:0:2").ok());
-  // wal_append fires on exactly hit #2.
-  EXPECT_TRUE(fi.Hit(FaultSite::kWalAppend).ok());
-  EXPECT_TRUE(fi.Hit(FaultSite::kWalAppend).ok());
-  Status fired = fi.Hit(FaultSite::kWalAppend);
-  EXPECT_EQ(fired.code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(fi.Hit(FaultSite::kWalAppend).ok());
-  EXPECT_EQ(fi.fired(FaultSite::kWalAppend), 1);
-  // wal_fsync fires on hits #0 and #1, then never again.
-  EXPECT_FALSE(fi.Hit(FaultSite::kWalFsync).ok());
-  EXPECT_FALSE(fi.Hit(FaultSite::kWalFsync).ok());
-  EXPECT_TRUE(fi.Hit(FaultSite::kWalFsync).ok());
-  EXPECT_EQ(fi.fired(FaultSite::kWalFsync), 2);
-  // Unnamed sites stay unplanned.
-  EXPECT_TRUE(fi.Hit(FaultSite::kSnapshotWrite).ok());
-}
-
-TEST_F(FaultPlanSpecTest, FourthFieldSelectsTheKind) {
-  auto& fi = FaultInjector::Global();
-  ASSERT_TRUE(fi.SetPlansFromSpec(
-                    "shard_unit:0:1:alloc,wal_append:0:1:torn,"
-                    "wal_fsync:0:1:error")
-                  .ok());
-  EXPECT_EQ(fi.Hit(FaultSite::kShardUnit).code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(fi.Hit(FaultSite::kWalFsync).code(), StatusCode::kUnavailable);
-  // A torn plan on a write site yields a prefix strictly shorter than the
-  // pending write; subsequent hits are clean and leave the prefix at 0.
-  size_t keep = 999;
-  EXPECT_FALSE(fi.HitWrite(FaultSite::kWalAppend, 64, &keep).ok());
-  EXPECT_LT(keep, 64u);
-  EXPECT_TRUE(fi.HitWrite(FaultSite::kWalAppend, 64, &keep).ok());
-  EXPECT_EQ(keep, 0u);
-}
-
-TEST_F(FaultPlanSpecTest, ToleratesTrailingCommaAndEmptySpec) {
-  auto& fi = FaultInjector::Global();
-  EXPECT_TRUE(fi.SetPlansFromSpec("").ok());
-  EXPECT_TRUE(fi.SetPlansFromSpec("snapshot_rename:1:1,").ok());
-  EXPECT_TRUE(fi.Hit(FaultSite::kSnapshotRename).ok());
-  EXPECT_FALSE(fi.Hit(FaultSite::kSnapshotRename).ok());
-}
-
-TEST_F(FaultPlanSpecTest, MalformedSpecsRejectAtomically) {
-  auto& fi = FaultInjector::Global();
-  EXPECT_EQ(fi.SetPlansFromSpec("bogus_site:0:1").code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(fi.SetPlansFromSpec("wal_append:0:1:explode").code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(fi.SetPlansFromSpec("wal_append:0:0").code(),
-            StatusCode::kInvalidArgument);  // zero-width window
-  EXPECT_EQ(fi.SetPlansFromSpec("wal_append:x:1").code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(fi.SetPlansFromSpec("wal_append:0").code(),
-            StatusCode::kInvalidArgument);  // too few fields
-  EXPECT_EQ(fi.SetPlansFromSpec("wal_append:0:1:torn:extra").code(),
-            StatusCode::kInvalidArgument);  // too many fields
-  EXPECT_EQ(fi.SetPlansFromSpec("wal_append:0:1,,wal_fsync:0:1").code(),
-            StatusCode::kInvalidArgument);  // empty middle entry
-  // A bad entry anywhere rejects the WHOLE spec: the valid first entry of
-  // "wal_append:0:5,nonsense:0:1" must not have been installed.
-  EXPECT_EQ(fi.SetPlansFromSpec("wal_append:0:5,nonsense:0:1").code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(fi.Hit(FaultSite::kWalAppend).ok());
-  EXPECT_EQ(fi.fired(FaultSite::kWalAppend), 0);
-}
-
-TEST_F(FaultPlanSpecTest, EnvVariableDrivesThePlanSet) {
-  auto& fi = FaultInjector::Global();
-  ::unsetenv("SMOQE_FAULT_PLAN");
-  EXPECT_TRUE(fi.SetPlansFromEnv().ok());  // unset -> no-op
-  EXPECT_TRUE(fi.Hit(FaultSite::kEpochApply).ok());
-
-  ::setenv("SMOQE_FAULT_PLAN", "epoch_apply:1:1", /*overwrite=*/1);
-  EXPECT_TRUE(fi.SetPlansFromEnv().ok());
-  // Unplanned traversals do not advance the hit counter, so the probe above
-  // did not count: the next Hit is #0 (clean) and the window [1, 2) fires
-  // on the one after.
-  EXPECT_TRUE(fi.Hit(FaultSite::kEpochApply).ok());
-  EXPECT_FALSE(fi.Hit(FaultSite::kEpochApply).ok());
-  EXPECT_TRUE(fi.Hit(FaultSite::kEpochApply).ok());
-
-  ::setenv("SMOQE_FAULT_PLAN", "not:a:plan:at:all", 1);
-  EXPECT_EQ(fi.SetPlansFromEnv().code(), StatusCode::kInvalidArgument);
-  ::unsetenv("SMOQE_FAULT_PLAN");
 }
 
 TEST(NameTableTest, ManyLabels) {

@@ -4,9 +4,7 @@
 //  * Plane structure: on randomized trees (built in NON-preorder insertion
 //    order, so NodeId order and preorder disagree), every position's extent
 //    equals its element-descendant count, subtrees are contiguous position
-//    intervals, posting lists are sorted and complete, and the incremental
-//    Builder driven by view::Materialize emits exactly what DocPlane::Build
-//    computes after the fact.
+//    intervals, and posting lists are sorted and complete.
 //  * Jump-driver equivalence: across label-sparse and label-dense generated
 //    documents and randomized query workloads, the joint driver's jump mode
 //    -- in a batch of one (HypeEvaluator) and in a full batch -- must
@@ -25,13 +23,11 @@
 
 #include "automata/compiler.h"
 #include "eval/naive_evaluator.h"
-#include "gen/fixtures.h"
 #include "gen/hospital_generator.h"
 #include "gen/query_generator.h"
 #include "hype/batch_hype.h"
 #include "hype/hype.h"
 #include "hype/index.h"
-#include "view/materializer.h"
 #include "xml/doc_plane.h"
 #include "xml/tree.h"
 #include "xpath/parser.h"
@@ -173,95 +169,6 @@ TEST(DocPlaneTest, PostingPoolPacksAllLabels) {
   EXPECT_EQ(plane.postings(tree.labels().Lookup("leaf")).size(), 8u);
   EXPECT_EQ(plane.postings(tree.labels().Lookup("r")).size(), 1u);
   EXPECT_GT(plane.MemoryBytes(), 0u);
-}
-
-// Builder misuse must surface in status() as a no-op, never as a corrupted
-// plane: accepted-but-wrong text bits and extents would propagate through
-// the Maintainer into every later epoch.
-TEST(DocPlaneTest, BuilderMisuseIsRecordedNotAccepted) {
-  {
-    DocPlane::Builder builder;
-    builder.MarkText();  // nothing open
-    EXPECT_FALSE(builder.status().ok());
-    EXPECT_EQ(builder.Finish(1, 1).size(), 0);
-  }
-  {
-    DocPlane::Builder builder;
-    builder.Exit();  // nothing open
-    EXPECT_FALSE(builder.status().ok());
-  }
-  {
-    DocPlane::Builder builder;
-    builder.Enter(0, 0);
-    builder.Exit();
-    EXPECT_TRUE(builder.status().ok());
-    builder.MarkText();  // root already closed: no open position
-    EXPECT_FALSE(builder.status().ok());
-  }
-  {
-    DocPlane::Builder builder;
-    builder.Enter(0, 0);
-    builder.Exit();
-    EXPECT_EQ(builder.Enter(0, 1), -1);  // second root
-    EXPECT_FALSE(builder.status().ok());
-    EXPECT_EQ(builder.Finish(2, 1).size(), 0);
-  }
-  {
-    DocPlane::Builder builder;
-    builder.Enter(0, 0);
-    builder.Enter(1, 1);
-    builder.Exit();  // inner closed, root still open
-    DocPlane plane = builder.Finish(2, 2);
-    EXPECT_FALSE(builder.status().ok());  // unbalanced Finish
-    EXPECT_EQ(plane.size(), 0);
-  }
-}
-
-TEST(DocPlaneTest, BuilderCleanSequenceStaysOk) {
-  Tree tree;
-  NodeId root = tree.AddRoot("r");
-  NodeId child = tree.AddElement(root, "c");
-  tree.AddText(child, "t");
-
-  DocPlane::Builder builder;
-  builder.Enter(tree.label(root), root);
-  builder.Enter(tree.label(child), child);
-  builder.MarkText();
-  builder.Exit();
-  builder.Exit();
-  EXPECT_TRUE(builder.status().ok());
-  DocPlane plane = builder.Finish(tree.size(), tree.labels().size());
-  EXPECT_TRUE(builder.status().ok());
-  EXPECT_TRUE(plane.SameAs(DocPlane::Build(tree)));
-}
-
-TEST(DocPlaneTest, MaterializerEmitsPlaneMatchingBuild) {
-  view::ViewDef view = gen::HospitalView();
-  gen::HospitalParams params;
-  params.patients = 12;
-  params.seed = 5;
-  Tree source = gen::GenerateHospital(params);
-  auto mat = view::Materialize(view, source);
-  ASSERT_TRUE(mat.ok()) << mat.status().ToString();
-
-  const DocPlane& emitted = mat.value().plane;
-  DocPlane rebuilt = DocPlane::Build(mat.value().tree);
-  ASSERT_EQ(emitted.size(), rebuilt.size());
-  for (int32_t pos = 0; pos < emitted.size(); ++pos) {
-    EXPECT_EQ(emitted.label(pos), rebuilt.label(pos));
-    EXPECT_EQ(emitted.parent(pos), rebuilt.parent(pos));
-    EXPECT_EQ(emitted.depth(pos), rebuilt.depth(pos));
-    EXPECT_EQ(emitted.extent(pos), rebuilt.extent(pos));
-    EXPECT_EQ(emitted.has_text(pos), rebuilt.has_text(pos));
-    EXPECT_EQ(emitted.node_at(pos), rebuilt.node_at(pos));
-  }
-  for (LabelId l = 0; l < mat.value().tree.labels().size(); ++l) {
-    auto a = emitted.postings(l);
-    auto b = rebuilt.postings(l);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
-  CheckPlaneProperties(mat.value().tree, emitted);
 }
 
 // ---- jump-mode equivalence ----
