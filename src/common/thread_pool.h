@@ -1,14 +1,12 @@
-// A work-stealing thread pool: the execution substrate of the parallel
-// query service (exec/).
+// A fixed-size thread pool with one FIFO queue: the execution substrate of
+// the parallel query service (exec/).
 //
-// Each worker owns a deque; its owner pushes and pops at the back (LIFO, so
-// freshly spawned subtasks run hot in cache), while idle workers steal from
-// the front of other workers' deques (FIFO, so thieves take the oldest --
-// typically largest -- pending task). External submissions are distributed
-// round-robin. The design follows the classic owner-LIFO / thief-FIFO
-// discipline; deques are mutex-guarded (per-deque, so contention is between
-// one owner and occasional thieves, not across the pool), which keeps the
-// pool simple to reason about and clean under ThreadSanitizer.
+// Workers take tasks from the front of one mutex-guarded deque in the order
+// Submit queued them. The pool's one client, ShardedBatchEvaluator::EvalAll,
+// submits a round of independent shard walks from a thread outside the pool
+// and waits for all of them; no task spawns nested work, so per-worker
+// queues and stealing would have nothing to balance that the shared queue
+// does not. A task may still Submit; its work queues behind the rest.
 //
 // Shutdown semantics: the destructor stops accepting new work, DRAINS every
 // queued task, then joins. A task Submit accepted always runs; a Submit
@@ -23,7 +21,6 @@
 #ifndef SMOQE_COMMON_THREAD_POOL_H_
 #define SMOQE_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -50,9 +47,7 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues a task. From a pool thread, the task lands on that worker's
-  /// own deque (depth-first execution of nested work); from outside,
-  /// round-robin. The task must not throw.
+  /// Enqueues a task at the back of the queue. The task must not throw.
   void Submit(std::function<void()> task);
 
   /// Submit returning a future for the callable's result (exceptions
@@ -74,26 +69,14 @@ class ThreadPool {
   static int HardwareThreads();
 
  private:
-  // One owner-LIFO / thief-FIFO deque per worker.
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(int self);
-  bool TryDequeue(int self, std::function<void()>* task);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
+  std::mutex mu_;
+  std::condition_variable cv_;                // tasks_ or stop_ changed
+  std::deque<std::function<void()>> tasks_;  // guarded by mu_
+  bool stop_ = false;                        // guarded by mu_
+  // Last: the workers use every member above.
   std::vector<std::thread> workers_;
-  std::atomic<uint32_t> next_queue_{0};
-
-  // Sleep/wake state. `pending_` counts tasks sitting in deques (decremented
-  // when a worker dequeues, before running), so `stop_ && pending_ == 0` is
-  // the drain-complete exit condition.
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  int64_t pending_ = 0;
-  bool stop_ = false;
 };
 
 }  // namespace smoqe::common

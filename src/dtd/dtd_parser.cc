@@ -1,135 +1,71 @@
 #include "dtd/dtd_parser.h"
 
-#include <cctype>
 #include <string>
 
 namespace smoqe::dtd {
 
 namespace {
 
-class DtdParser {
- public:
-  explicit DtdParser(std::string_view in) : in_(in) {}
+using common::SpecReader;
 
-  StatusOr<Dtd> Parse() {
-    Dtd dtd;
-    SMOQE_RETURN_IF_ERROR(Expect("dtd"));
-    SMOQE_ASSIGN_OR_RETURN(std::string root, Name());
-    dtd.SetRoot(dtd.DeclareType(root));
-    SMOQE_RETURN_IF_ERROR(Expect("{"));
-    while (!AtToken("}")) {
-      SMOQE_RETURN_IF_ERROR(ParseProduction(&dtd));
+StatusOr<ChildSpec> ParseChild(SpecReader& in, Dtd* dtd) {
+  SMOQE_ASSIGN_OR_RETURN(std::string name, in.Name("a type name"));
+  const TypeId type = dtd->DeclareType(name);
+  return ChildSpec{type, in.Accept("*")};
+}
+
+Status ParseProduction(SpecReader& in, Dtd* dtd) {
+  SMOQE_ASSIGN_OR_RETURN(std::string lhs, in.Name("a type name"));
+  const TypeId t = dtd->DeclareType(lhs);
+  SMOQE_RETURN_IF_ERROR(in.Expect("->"));
+  Production p;
+  if (in.Accept("#text")) {
+    p.kind = ContentKind::kText;
+  } else if (in.Accept("#empty")) {
+    p.kind = ContentKind::kEmpty;
+  } else {
+    SMOQE_ASSIGN_OR_RETURN(ChildSpec first, ParseChild(in, dtd));
+    p.children.push_back(first);
+    p.kind = in.At("+") ? ContentKind::kChoice : ContentKind::kSequence;
+    while (in.Accept(p.kind == ContentKind::kChoice ? "+" : ",")) {
+      SMOQE_ASSIGN_OR_RETURN(ChildSpec c, ParseChild(in, dtd));
+      p.children.push_back(c);
     }
-    SMOQE_RETURN_IF_ERROR(Expect("}"));
-    Skip();
-    if (pos_ != in_.size()) return Err("trailing input after '}'");
-    SMOQE_RETURN_IF_ERROR(dtd.Validate());
-    return dtd;
+    if (in.At("+")) return in.Error("cannot mix ',' and '+' in a production");
   }
+  SMOQE_RETURN_IF_ERROR(in.Expect(";"));
+  Status set = dtd->SetProduction(t, std::move(p));
+  if (!set.ok()) return in.Error(set.message());
+  return Status::OK();
+}
 
- private:
-  void Skip() {
-    for (;;) {
-      while (pos_ < in_.size() &&
-             std::isspace(static_cast<unsigned char>(in_[pos_]))) {
-        if (in_[pos_] == '\n') ++line_;
-        ++pos_;
-      }
-      if (pos_ + 1 < in_.size() && in_[pos_] == '/' && in_[pos_ + 1] == '/') {
-        while (pos_ < in_.size() && in_[pos_] != '\n') ++pos_;
-        continue;
-      }
-      return;
-    }
+StatusOr<Dtd> ParseBlock(SpecReader& in) {
+  Dtd dtd;
+  SMOQE_RETURN_IF_ERROR(in.Expect("dtd"));
+  SMOQE_ASSIGN_OR_RETURN(std::string root, in.Name("a type name"));
+  dtd.SetRoot(dtd.DeclareType(root));
+  SMOQE_RETURN_IF_ERROR(in.Expect("{"));
+  while (!in.Accept("}")) {
+    SMOQE_RETURN_IF_ERROR(ParseProduction(in, &dtd));
   }
-
-  bool AtToken(std::string_view tok) {
-    Skip();
-    return in_.substr(pos_, tok.size()) == tok;
-  }
-
-  Status Expect(std::string_view tok) {
-    Skip();
-    if (in_.substr(pos_, tok.size()) != tok) {
-      return Err("expected '" + std::string(tok) + "'");
-    }
-    pos_ += tok.size();
-    return Status::OK();
-  }
-
-  Status Err(std::string what) const {
-    return Status::ParseError("DTD: " + what + " (line " + std::to_string(line_) + ")");
-  }
-
-  StatusOr<std::string> Name() {
-    Skip();
-    size_t start = pos_;
-    while (pos_ < in_.size() &&
-           (std::isalnum(static_cast<unsigned char>(in_[pos_])) ||
-            in_[pos_] == '_' || in_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Err("expected a type name");
-    return std::string(in_.substr(start, pos_ - start));
-  }
-
-  StatusOr<ChildSpec> ParseChild(Dtd* dtd) {
-    SMOQE_ASSIGN_OR_RETURN(std::string name, Name());
-    ChildSpec spec;
-    spec.type = dtd->DeclareType(name);
-    Skip();
-    if (pos_ < in_.size() && in_[pos_] == '*') {
-      ++pos_;
-      spec.starred = true;
-    }
-    return spec;
-  }
-
-  Status ParseProduction(Dtd* dtd) {
-    SMOQE_ASSIGN_OR_RETURN(std::string lhs, Name());
-    TypeId t = dtd->DeclareType(lhs);
-    SMOQE_RETURN_IF_ERROR(Expect("->"));
-    Production p;
-    if (AtToken("#text")) {
-      SMOQE_RETURN_IF_ERROR(Expect("#text"));
-      p.kind = ContentKind::kText;
-    } else if (AtToken("#empty")) {
-      SMOQE_RETURN_IF_ERROR(Expect("#empty"));
-      p.kind = ContentKind::kEmpty;
-    } else {
-      SMOQE_ASSIGN_OR_RETURN(ChildSpec first, ParseChild(dtd));
-      p.children.push_back(first);
-      Skip();
-      if (AtToken("+")) {
-        p.kind = ContentKind::kChoice;
-        while (AtToken("+")) {
-          SMOQE_RETURN_IF_ERROR(Expect("+"));
-          SMOQE_ASSIGN_OR_RETURN(ChildSpec c, ParseChild(dtd));
-          p.children.push_back(c);
-        }
-      } else {
-        p.kind = ContentKind::kSequence;
-        while (AtToken(",")) {
-          SMOQE_RETURN_IF_ERROR(Expect(","));
-          SMOQE_ASSIGN_OR_RETURN(ChildSpec c, ParseChild(dtd));
-          p.children.push_back(c);
-        }
-        if (AtToken("+")) return Err("cannot mix ',' and '+' in a production");
-      }
-    }
-    SMOQE_RETURN_IF_ERROR(Expect(";"));
-    Status set = dtd->SetProduction(t, std::move(p));
-    if (!set.ok()) return Err(set.message());
-    return Status::OK();
-  }
-
-  std::string_view in_;
-  size_t pos_ = 0;
-  int line_ = 1;
-};
+  SMOQE_RETURN_IF_ERROR(dtd.Validate());
+  return dtd;
+}
 
 }  // namespace
 
-StatusOr<Dtd> ParseDtd(std::string_view input) { return DtdParser(input).Parse(); }
+StatusOr<Dtd> ParseDtd(SpecReader& in) {
+  const std::string_view outer = in.SwitchLanguage("DTD");
+  StatusOr<Dtd> dtd = ParseBlock(in);
+  in.SwitchLanguage(outer);
+  return dtd;
+}
+
+StatusOr<Dtd> ParseDtd(std::string_view input) {
+  SpecReader in(input, "DTD");
+  SMOQE_ASSIGN_OR_RETURN(Dtd dtd, ParseDtd(in));
+  if (!in.AtEnd()) return in.Error("trailing input after '}'");
+  return dtd;
+}
 
 }  // namespace smoqe::dtd

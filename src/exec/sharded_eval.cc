@@ -328,13 +328,15 @@ std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAll(
   // service always calls from its dispatcher thread and takes the pool
   // path.
   if (options_.pool != nullptr && !options_.pool->OnPoolThread()) {
+    // The fallback walks the whole tree, so it is queued first and never
+    // waits behind the shard groups.
     std::vector<std::future<void>> done;
+    if (fallback_ != nullptr) {
+      done.push_back(options_.pool->SubmitWithResult(run_fallback));
+    }
     for (size_t g = 0; g < workers_.size(); ++g) {
       done.push_back(
           options_.pool->SubmitWithResult([&run_group, g] { run_group(g); }));
-    }
-    if (fallback_ != nullptr) {
-      done.push_back(options_.pool->SubmitWithResult(run_fallback));
     }
     for (std::future<void>& d : done) d.get();
   } else {

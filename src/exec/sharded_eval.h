@@ -23,8 +23,9 @@
 // "simple" -- no pending AFA truth values to fold upward, no cans region
 // open. A probe pass checks exactly that per query; queries that fail (e.g.
 // a filter predicated on the context itself) are routed to a whole-tree
-// fallback BatchHypeEvaluator, which runs as one more pool task. Answers at
-// spine nodes themselves are emitted centrally by the probe.
+// fallback BatchHypeEvaluator, which runs as one more pool task, queued
+// ahead of the shard groups. Answers at spine nodes themselves are emitted
+// centrally by the probe.
 //
 // The evaluator is reusable: repeated EvalAll calls on the same context
 // reuse its plan, probe results and shard workers (the throughput bench
@@ -77,8 +78,9 @@ struct ShardedOptions {
   /// shard.
   hype::TransitionPlaneStore* plane_store = nullptr;
 
-  /// Shard-group target. 0 = twice the pool width (slack so the greedy
-  /// contiguous partition and work stealing can smooth unit imbalance).
+  /// Shard-group target. 0 = twice the pool width (slack so that, with the
+  /// groups taken from the pool's queue as workers come free, the greedy
+  /// contiguous partition's unit imbalance evens out).
   int num_shards = 0;
 
   /// Label-skipping jump mode inside every shard walk (and the fallback);

@@ -1,197 +1,86 @@
 #include "policy/policy_parser.h"
 
-#include <cctype>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/spec_reader.h"
 #include "dtd/dtd_parser.h"
 
 namespace smoqe::policy {
 
 namespace {
 
-// Same hand-rolled tokenizer shape as view::ViewParser: names, punctuation,
-// quoted strings, '//' comments.
-class PolicyParser {
- public:
-  explicit PolicyParser(std::string_view in) : in_(in) {}
+using common::SpecReader;
 
-  StatusOr<Policy> Parse() {
-    SMOQE_RETURN_IF_ERROR(Expect("policy"));
-    SMOQE_ASSIGN_OR_RETURN(std::string name, Name());
-    (void)name;
-    SMOQE_RETURN_IF_ERROR(Expect("{"));
-
-    SMOQE_RETURN_IF_ERROR(Expect("source"));
-    SMOQE_ASSIGN_OR_RETURN(std::string_view source_text, BracedBlock("dtd"));
-    SMOQE_ASSIGN_OR_RETURN(dtd::Dtd source_dtd, dtd::ParseDtd(source_text));
-    Policy policy(std::move(source_dtd));
-
-    while (AtToken("role")) {
-      SMOQE_RETURN_IF_ERROR(ParseRole(&policy));
-    }
-    SMOQE_RETURN_IF_ERROR(Expect("}"));
-    Skip();
-    if (pos_ != in_.size()) return Err("trailing input after policy spec");
-    SMOQE_RETURN_IF_ERROR(policy.Validate());
-    return policy;
-  }
-
- private:
-  Status ParseRole(Policy* policy) {
-    SMOQE_RETURN_IF_ERROR(Expect("role"));
-    SMOQE_ASSIGN_OR_RETURN(std::string role_name, Name());
-    std::vector<std::string> parents;
-    if (AtToken("extends")) {
-      SMOQE_RETURN_IF_ERROR(Expect("extends"));
-      for (;;) {
-        SMOQE_ASSIGN_OR_RETURN(std::string parent, Name());
-        parents.push_back(std::move(parent));
-        if (!AtToken(",")) break;
-        SMOQE_RETURN_IF_ERROR(Expect(","));
-      }
-    }
-    auto role = policy->AddRole(role_name, parents);
-    if (!role.ok()) return Err(role.status().message());
-    SMOQE_RETURN_IF_ERROR(Expect("{"));
-    while (!AtToken("}")) {
-      SMOQE_ASSIGN_OR_RETURN(std::string verb, Name());
-      if (verb == "root") {
-        SMOQE_ASSIGN_OR_RETURN(std::string which, Name());
-        Annotation ann;
-        if (which == "deny") {
-          ann = Annotation::Deny();
-        } else if (which != "allow") {
-          return Err("expected 'root allow ;' or 'root deny ;'");
-        }
-        Status set = policy->AnnotateRoot(role.value(), std::move(ann));
-        if (!set.ok()) return Err(set.message());
-        SMOQE_RETURN_IF_ERROR(Expect(";"));
-        continue;
-      }
-      if (verb != "allow" && verb != "deny") {
-        return Err("expected 'allow', 'deny' or 'root', got '" + verb + "'");
-      }
-      SMOQE_ASSIGN_OR_RETURN(std::string a, Name());
-      SMOQE_RETURN_IF_ERROR(Expect("."));
-      SMOQE_ASSIGN_OR_RETURN(std::string b, Name());
-      Annotation ann =
-          verb == "deny" ? Annotation::Deny() : Annotation::Allow();
-      if (AtToken("when")) {
-        if (verb == "deny") return Err("'deny ... when' is not a thing; "
-                                       "negate the condition on an allow");
-        SMOQE_RETURN_IF_ERROR(Expect("when"));
-        SMOQE_ASSIGN_OR_RETURN(std::string cond, QuotedString());
-        auto parsed = Annotation::If(cond);
-        if (!parsed.ok()) return Err(parsed.status().message());
-        ann = parsed.take();
-      }
-      Status set = policy->Annotate(role.value(), a, b, std::move(ann));
-      if (!set.ok()) return Err(set.message());
-      SMOQE_RETURN_IF_ERROR(Expect(";"));
-    }
-    return Expect("}");
-  }
-
-  void Skip() {
-    for (;;) {
-      while (pos_ < in_.size() &&
-             std::isspace(static_cast<unsigned char>(in_[pos_]))) {
-        if (in_[pos_] == '\n') ++line_;
-        ++pos_;
-      }
-      if (pos_ + 1 < in_.size() && in_[pos_] == '/' && in_[pos_ + 1] == '/') {
-        while (pos_ < in_.size() && in_[pos_] != '\n') ++pos_;
-        continue;
-      }
-      return;
-    }
-  }
-
-  bool AtToken(std::string_view tok) {
-    Skip();
-    if (in_.substr(pos_, tok.size()) != tok) return false;
-    // Keywords must not swallow the head of a longer name ("rooter").
-    if (std::isalnum(static_cast<unsigned char>(tok.back()))) {
-      size_t after = pos_ + tok.size();
-      if (after < in_.size() &&
-          (std::isalnum(static_cast<unsigned char>(in_[after])) ||
-           in_[after] == '_' || in_[after] == '-')) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  Status Expect(std::string_view tok) {
-    if (!AtToken(tok)) return Err("expected '" + std::string(tok) + "'");
-    pos_ += tok.size();
-    return Status::OK();
-  }
-
-  Status Err(std::string what) const {
-    return Status::ParseError("policy: " + what + " (line " +
-                              std::to_string(line_) + ")");
-  }
-
-  StatusOr<std::string> Name() {
-    Skip();
-    size_t start = pos_;
-    while (pos_ < in_.size() &&
-           (std::isalnum(static_cast<unsigned char>(in_[pos_])) ||
-            in_[pos_] == '_' || in_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Err("expected a name");
-    return std::string(in_.substr(start, pos_ - start));
-  }
-
-  StatusOr<std::string_view> BracedBlock(std::string_view keyword) {
-    if (!AtToken(keyword)) {
-      return Err("expected '" + std::string(keyword) + "'");
-    }
-    size_t start = pos_;
-    while (pos_ < in_.size() && in_[pos_] != '{') {
-      if (in_[pos_] == '\n') ++line_;
-      ++pos_;
-    }
-    if (pos_ >= in_.size()) return Err("expected '{'");
-    int depth = 0;
+// Reads one `role NAME [extends P, ...] { rule* }` after its `role`.
+Status ParseRole(SpecReader& in, Policy* policy) {
+  SMOQE_ASSIGN_OR_RETURN(std::string role_name, in.Name());
+  std::vector<std::string> parents;
+  if (in.Accept("extends")) {
     do {
-      if (in_[pos_] == '{') ++depth;
-      if (in_[pos_] == '}') --depth;
-      if (in_[pos_] == '\n') ++line_;
-      ++pos_;
-    } while (pos_ < in_.size() && depth > 0);
-    if (depth != 0) return Err("unbalanced braces");
-    return in_.substr(start, pos_ - start);
+      SMOQE_ASSIGN_OR_RETURN(std::string parent, in.Name());
+      parents.push_back(std::move(parent));
+    } while (in.Accept(","));
   }
-
-  StatusOr<std::string> QuotedString() {
-    Skip();
-    if (pos_ >= in_.size() || (in_[pos_] != '"' && in_[pos_] != '\'')) {
-      return Err("expected a quoted condition");
+  StatusOr<RoleId> role = policy->AddRole(role_name, parents);
+  if (!role.ok()) return in.Error(role.status().message());
+  SMOQE_RETURN_IF_ERROR(in.Expect("{"));
+  while (!in.Accept("}")) {
+    SMOQE_ASSIGN_OR_RETURN(std::string verb, in.Name());
+    if (verb == "root") {
+      SMOQE_ASSIGN_OR_RETURN(std::string which, in.Name());
+      if (which != "allow" && which != "deny") {
+        return in.Error("expected 'root allow ;' or 'root deny ;'");
+      }
+      Annotation ann =
+          which == "deny" ? Annotation::Deny() : Annotation::Allow();
+      Status set = policy->AnnotateRoot(role.value(), std::move(ann));
+      if (!set.ok()) return in.Error(set.message());
+      SMOQE_RETURN_IF_ERROR(in.Expect(";"));
+      continue;
     }
-    char quote = in_[pos_++];
-    size_t start = pos_;
-    while (pos_ < in_.size() && in_[pos_] != quote) ++pos_;
-    if (pos_ >= in_.size()) return Err("unterminated quoted condition");
-    std::string s(in_.substr(start, pos_ - start));
-    ++pos_;
-    return s;
+    if (verb != "allow" && verb != "deny") {
+      return in.Error("expected 'allow', 'deny' or 'root', got '" + verb + "'");
+    }
+    SMOQE_ASSIGN_OR_RETURN(std::string a, in.Name());
+    SMOQE_RETURN_IF_ERROR(in.Expect("."));
+    SMOQE_ASSIGN_OR_RETURN(std::string b, in.Name());
+    Annotation ann = verb == "deny" ? Annotation::Deny() : Annotation::Allow();
+    if (in.Accept("when")) {
+      if (verb == "deny") {
+        return in.Error(
+            "'deny ... when' is not a thing; negate the condition on an allow");
+      }
+      SMOQE_ASSIGN_OR_RETURN(std::string cond, in.Quoted("condition"));
+      StatusOr<Annotation> parsed = Annotation::If(cond);
+      if (!parsed.ok()) return in.Error(parsed.status().message());
+      ann = parsed.take();
+    }
+    Status set = policy->Annotate(role.value(), a, b, std::move(ann));
+    if (!set.ok()) return in.Error(set.message());
+    SMOQE_RETURN_IF_ERROR(in.Expect(";"));
   }
-
-  std::string_view in_;
-  size_t pos_ = 0;
-  int line_ = 1;
-};
+  return Status::OK();
+}
 
 }  // namespace
 
 StatusOr<Policy> ParsePolicy(std::string_view spec) {
-  return PolicyParser(spec).Parse();
+  SpecReader in(spec, "policy");
+  SMOQE_RETURN_IF_ERROR(in.Expect("policy"));
+  SMOQE_RETURN_IF_ERROR(in.Name().status());
+  SMOQE_RETURN_IF_ERROR(in.Expect("{"));
+  SMOQE_RETURN_IF_ERROR(in.Expect("source"));
+  SMOQE_ASSIGN_OR_RETURN(dtd::Dtd source_dtd, dtd::ParseDtd(in));
+  Policy policy(std::move(source_dtd));
+  while (in.Accept("role")) {
+    SMOQE_RETURN_IF_ERROR(ParseRole(in, &policy));
+  }
+  SMOQE_RETURN_IF_ERROR(in.Expect("}"));
+  if (!in.AtEnd()) return in.Error("trailing input after policy spec");
+  SMOQE_RETURN_IF_ERROR(policy.Validate());
+  return policy;
 }
 
 }  // namespace smoqe::policy

@@ -21,6 +21,11 @@
 // Unannotated edges resolve through role inheritance with deny-overrides;
 // see policy.h for the exact rules. Parents must be declared before the
 // roles that extend them, which keeps the role graph acyclic.
+//
+// Lexical rules, shared with DTDs and views through common/spec_reader.h:
+// keywords match as whole words, `//` comments may appear between any two
+// tokens (inside the embedded DTD too), and error line numbers count over
+// the whole spec.
 
 #ifndef SMOQE_POLICY_POLICY_PARSER_H_
 #define SMOQE_POLICY_POLICY_PARSER_H_

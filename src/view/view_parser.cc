@@ -1,146 +1,42 @@
 #include "view/view_parser.h"
 
-#include <cctype>
-#include <optional>
 #include <string>
 
+#include "common/spec_reader.h"
 #include "dtd/dtd_parser.h"
 #include "xpath/parser.h"
 
 namespace smoqe::view {
 
-namespace {
-
-class ViewParser {
- public:
-  explicit ViewParser(std::string_view in) : in_(in) {}
-
-  StatusOr<ViewDef> Parse() {
-    SMOQE_RETURN_IF_ERROR(Expect("view"));
-    SMOQE_ASSIGN_OR_RETURN(std::string name, Name());
-    (void)name;
-    SMOQE_RETURN_IF_ERROR(Expect("{"));
-
-    SMOQE_RETURN_IF_ERROR(Expect("source"));
-    SMOQE_ASSIGN_OR_RETURN(std::string_view source_text, BracedBlock("dtd"));
-    SMOQE_ASSIGN_OR_RETURN(dtd::Dtd source_dtd, dtd::ParseDtd(source_text));
-
-    SMOQE_RETURN_IF_ERROR(Expect("view"));
-    SMOQE_ASSIGN_OR_RETURN(std::string_view view_text, BracedBlock("dtd"));
-    SMOQE_ASSIGN_OR_RETURN(dtd::Dtd view_dtd, dtd::ParseDtd(view_text));
-
-    ViewDef def(std::move(source_dtd), std::move(view_dtd));
-
-    SMOQE_RETURN_IF_ERROR(Expect("sigma"));
-    SMOQE_RETURN_IF_ERROR(Expect("{"));
-    while (!AtToken("}")) {
-      SMOQE_ASSIGN_OR_RETURN(std::string a, Name());
-      SMOQE_RETURN_IF_ERROR(Expect("."));
-      SMOQE_ASSIGN_OR_RETURN(std::string b, Name());
-      SMOQE_RETURN_IF_ERROR(Expect("="));
-      SMOQE_ASSIGN_OR_RETURN(std::string query_text, QuotedString());
-      SMOQE_RETURN_IF_ERROR(Expect(";"));
-      SMOQE_ASSIGN_OR_RETURN(xpath::PathPtr q, xpath::ParseQuery(query_text));
-      Status set = def.SetAnnotation(a, b, std::move(q));
-      if (!set.ok()) return Err(set.message());
-    }
-    SMOQE_RETURN_IF_ERROR(Expect("}"));
-    SMOQE_RETURN_IF_ERROR(Expect("}"));
-    Skip();
-    if (pos_ != in_.size()) return Err("trailing input after view spec");
-    SMOQE_RETURN_IF_ERROR(def.Validate());
-    return def;
-  }
-
- private:
-  void Skip() {
-    for (;;) {
-      while (pos_ < in_.size() &&
-             std::isspace(static_cast<unsigned char>(in_[pos_]))) {
-        if (in_[pos_] == '\n') ++line_;
-        ++pos_;
-      }
-      if (pos_ + 1 < in_.size() && in_[pos_] == '/' && in_[pos_ + 1] == '/') {
-        while (pos_ < in_.size() && in_[pos_] != '\n') ++pos_;
-        continue;
-      }
-      return;
-    }
-  }
-
-  bool AtToken(std::string_view tok) {
-    Skip();
-    return in_.substr(pos_, tok.size()) == tok;
-  }
-
-  Status Expect(std::string_view tok) {
-    if (!AtToken(tok)) return Err("expected '" + std::string(tok) + "'");
-    pos_ += tok.size();
-    return Status::OK();
-  }
-
-  Status Err(std::string what) const {
-    return Status::ParseError("view: " + what + " (line " +
-                              std::to_string(line_) + ")");
-  }
-
-  StatusOr<std::string> Name() {
-    Skip();
-    size_t start = pos_;
-    while (pos_ < in_.size() &&
-           (std::isalnum(static_cast<unsigned char>(in_[pos_])) ||
-            in_[pos_] == '_' || in_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Err("expected a name");
-    return std::string(in_.substr(start, pos_ - start));
-  }
-
-  /// Consumes `keyword ... { ... }` and returns the whole span from the
-  /// keyword through the matching close brace (for a nested parser).
-  StatusOr<std::string_view> BracedBlock(std::string_view keyword) {
-    if (!AtToken(keyword)) return Err("expected '" + std::string(keyword) + "'");
-    size_t start = pos_;
-    // Find the opening brace, then match nesting.
-    while (pos_ < in_.size() && in_[pos_] != '{') {
-      if (in_[pos_] == '\n') ++line_;
-      ++pos_;
-    }
-    if (pos_ >= in_.size()) return Err("expected '{'");
-    int depth = 0;
-    do {
-      if (in_[pos_] == '{') ++depth;
-      if (in_[pos_] == '}') --depth;
-      if (in_[pos_] == '\n') ++line_;
-      ++pos_;
-    } while (pos_ < in_.size() && depth > 0);
-    if (depth != 0) return Err("unbalanced braces");
-    return in_.substr(start, pos_ - start);
-  }
-
-  StatusOr<std::string> QuotedString() {
-    Skip();
-    if (pos_ >= in_.size() || (in_[pos_] != '"' && in_[pos_] != '\'')) {
-      return Err("expected a quoted query");
-    }
-    char quote = in_[pos_++];
-    size_t start = pos_;
-    while (pos_ < in_.size() && in_[pos_] != quote) ++pos_;
-    if (pos_ >= in_.size()) return Err("unterminated quoted query");
-    std::string s(in_.substr(start, pos_ - start));
-    ++pos_;
-    return s;
-  }
-
-  std::string_view in_;
-  size_t pos_ = 0;
-  int line_ = 1;
-};
-
-}  // namespace
-
 StatusOr<ViewDef> ParseView(std::string_view spec) {
-  return ViewParser(spec).Parse();
+  common::SpecReader in(spec, "view");
+  SMOQE_RETURN_IF_ERROR(in.Expect("view"));
+  SMOQE_RETURN_IF_ERROR(in.Name().status());
+  SMOQE_RETURN_IF_ERROR(in.Expect("{"));
+  SMOQE_RETURN_IF_ERROR(in.Expect("source"));
+  SMOQE_ASSIGN_OR_RETURN(dtd::Dtd source_dtd, dtd::ParseDtd(in));
+  SMOQE_RETURN_IF_ERROR(in.Expect("view"));
+  SMOQE_ASSIGN_OR_RETURN(dtd::Dtd view_dtd, dtd::ParseDtd(in));
+  ViewDef def(std::move(source_dtd), std::move(view_dtd));
+
+  SMOQE_RETURN_IF_ERROR(in.Expect("sigma"));
+  SMOQE_RETURN_IF_ERROR(in.Expect("{"));
+  while (!in.Accept("}")) {
+    SMOQE_ASSIGN_OR_RETURN(std::string a, in.Name());
+    SMOQE_RETURN_IF_ERROR(in.Expect("."));
+    SMOQE_ASSIGN_OR_RETURN(std::string b, in.Name());
+    SMOQE_RETURN_IF_ERROR(in.Expect("="));
+    SMOQE_ASSIGN_OR_RETURN(std::string query_text, in.Quoted("query"));
+    SMOQE_RETURN_IF_ERROR(in.Expect(";"));
+    StatusOr<xpath::PathPtr> q = xpath::ParseQuery(query_text);
+    if (!q.ok()) return in.Error(q.status().message());
+    Status set = def.SetAnnotation(a, b, q.take());
+    if (!set.ok()) return in.Error(set.message());
+  }
+  SMOQE_RETURN_IF_ERROR(in.Expect("}"));
+  if (!in.AtEnd()) return in.Error("trailing input after view spec");
+  SMOQE_RETURN_IF_ERROR(def.Validate());
+  return def;
 }
 
 }  // namespace smoqe::view

@@ -4,6 +4,7 @@
 #include "dtd/dtd_parser.h"
 #include "dtd/validator.h"
 #include "gen/fixtures.h"
+#include "spec_testing.h"
 #include "xml/parser.h"
 
 namespace smoqe::dtd {
@@ -80,6 +81,24 @@ TEST(DtdParserTest, SingleBranchChoiceIsSequence) {
 TEST(DtdParserTest, CommentsAllowed) {
   auto dtd = ParseDtd("dtd a { // root\n a -> #text ; // done\n }");
   ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+}
+
+TEST(DtdParserTest, KeywordsMatchAsWholeWords) {
+  // `dtdr` is one name, not the keyword `dtd` followed by the root `r`.
+  auto glued = ParseDtd("dtdr { r -> #empty ; }");
+  ASSERT_FALSE(glued.ok());
+  EXPECT_EQ(glued.status().message(), "DTD: expected 'dtd' (line 1)");
+  EXPECT_TRUE(ParseDtd("dtd r { r -> #empty ; }").ok());
+}
+
+TEST(DtdParserTest, RandomizedCorruptionNeverCrashes) {
+  int accepted = 0;
+  for (const std::string& spec : CorruptedSpecs(gen::kHospitalDtdText, 0xD7D)) {
+    accepted += ParseDtd(spec).ok() ? 1 : 0;
+  }
+  // Both outcomes occur, so the corruptions reach past the first error.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kSpecCorruptions);
 }
 
 TEST(DtdGraphTest, ChildTypesAndEdges) {

@@ -18,6 +18,7 @@
 #include "policy/policy_parser.h"
 #include "policy/role_catalog.h"
 #include "policy/role_compiler.h"
+#include "spec_testing.h"
 #include "view/materializer.h"
 #include "xml/tree.h"
 #include "xpath/printer.h"
@@ -211,6 +212,52 @@ TEST(PolicyParserTest, RejectsMalformedSpecs) {
       ParsePolicy("policy x { source dtd r { r -> t* ; t -> #text ; } }").ok());
 }
 
+TEST(PolicyParserTest, ErrorsInTheEmbeddedDtdNameTheirSpecLine) {
+  auto parsed = ParsePolicy(
+      "policy x {\n"
+      "  source dtd r {\n"
+      "    r -> t* ;\n"
+      "    t => #text ;\n"
+      "  }\n"
+      "  role a { }\n"
+      "}\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(), "DTD: expected '->' (line 4)");
+}
+
+TEST(PolicyParserTest, CommentsInTheEmbeddedDtd) {
+  const std::string source =
+      "dtd r { // a } in a comment\n  r -> t* ; t -> #text ; }";
+  auto parsed =
+      ParsePolicy("policy x {\n  source " + source + "\n  role a { }\n}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto standalone = dtd::ParseDtd(source);
+  ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
+  EXPECT_EQ(DtdText(parsed.value().source_dtd()), DtdText(standalone.value()));
+}
+
+TEST(PolicyParserTest, RandomizedCorruptionNeverCrashes) {
+  constexpr char kThreeRoles[] = R"(
+    policy acl {
+      source dtd r { r -> a*, b* ; a -> t, a*, b* ; b -> t, c* ;
+                     c -> a* ; t -> #text ; }
+      role staff { allow r.a ; }
+      role research extends staff {
+        deny  b.c ;
+        allow a.b when "t[text() = 'alpha']" ;
+      }
+      role intern extends research, staff { root deny ; }
+    }
+  )";
+  ASSERT_TRUE(ParsePolicy(kThreeRoles).ok());
+  int accepted = 0;
+  for (const std::string& spec : CorruptedSpecs(kThreeRoles, 0x9011C7)) {
+    accepted += ParsePolicy(spec).ok() ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kSpecCorruptions);
+}
+
 // ---------------------------------------------------------------------------
 // Role compiler
 
@@ -281,7 +328,9 @@ TEST(RoleCompilerTest, ConditionalChildIsStarredAndAnnotated) {
   // role keeps the source's exactly-one shape.
   dtd::TypeId a = view.view_dtd().FindType("a");
   for (const dtd::ChildSpec& spec : view.view_dtd().production(a).children) {
-    if (spec.type == t) EXPECT_FALSE(spec.starred);
+    if (spec.type == t) {
+      EXPECT_FALSE(spec.starred);
+    }
   }
   // sigma(b, t) = t[not(c)]: the child step filtered by the policy
   // qualifier.

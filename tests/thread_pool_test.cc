@@ -1,7 +1,7 @@
 // common::ThreadPool: future plumbing, concurrent submission, nested
-// (worker-side) submission, work stealing, and drain-on-destruction. Runs
-// under the `concurrency` CTest label, so the TSan CI job exercises every
-// queue/wake path.
+// (worker-side) submission, a long task beside short ones, and
+// drain-on-destruction. Runs under the `concurrency` CTest label, so the
+// TSan CI job exercises every queue/wake path.
 
 #include "common/thread_pool.h"
 
@@ -29,8 +29,9 @@ TEST(ThreadPoolTest, RunsSubmittedTasks) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(results[i].get(), i * i);
   }
-  // The futures above were submitted after the plain tasks onto the same
-  // deques, but ordering across deques is not guaranteed -- wait explicitly.
+  // The futures above were queued after the plain tasks, but workers run
+  // tasks concurrently, so a plain task may still be running -- wait
+  // explicitly.
   while (count.load() < 100) std::this_thread::yield();
   EXPECT_EQ(count.load(), 100);
 }
@@ -85,11 +86,10 @@ TEST(ThreadPoolTest, NestedSubmissionFromWorkers) {
   EXPECT_EQ(leaves.load(), 8 * 16);
 }
 
-TEST(ThreadPoolTest, StealingDrainsAnUnbalancedQueue) {
+TEST(ThreadPoolTest, ShortTasksFinishBesideALongOne) {
   ThreadPool pool(4);
-  // One long task occupies its worker while the short tasks -- all
-  // round-robined across the deques -- must still finish promptly because
-  // idle workers steal them.
+  // One long task occupies its worker while the short tasks queued behind
+  // it must still finish promptly, because the other workers take them.
   std::atomic<bool> release{false};
   std::atomic<int> shorts{0};
   auto long_task = pool.SubmitWithResult([&release] {

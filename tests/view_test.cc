@@ -5,6 +5,7 @@
 #include "eval/naive_evaluator.h"
 #include "gen/fixtures.h"
 #include "gen/hospital_generator.h"
+#include "spec_testing.h"
 #include "view/materializer.h"
 #include "view/view_parser.h"
 #include "xml/parser.h"
@@ -48,6 +49,62 @@ view bad {
 }
 )";
   EXPECT_FALSE(ParseView(spec).ok());
+}
+
+// sigma0 (the Fig. 1(c) view) with its first `from` replaced by `to`.
+std::string EditedSigma0(std::string_view from, std::string_view to) {
+  std::string spec = gen::kHospitalViewSpecText;
+  const size_t at = spec.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return spec.replace(at, from.size(), to);
+}
+
+TEST(ViewParserTest, KeywordsMatchAsWholeWords) {
+  auto glued =
+      ParseView(EditedSigma0("source dtd hospital", "source dtdhospital"));
+  ASSERT_FALSE(glued.ok());
+  EXPECT_EQ(glued.status().message(), "DTD: expected 'dtd' (line 3)");
+}
+
+TEST(ViewParserTest, ErrorsInEmbeddedDtdsNameTheirSpecLine) {
+  // The first `->` of sigma0 is on line 4 of the spec (line 2 of its
+  // source DTD).
+  auto v = ParseView(EditedSigma0("->", "=>"));
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().message(), "DTD: expected '->' (line 4)");
+}
+
+TEST(ViewParserTest, SigmaQueryErrorsNameTheirLine) {
+  // sigma0's first query is on line 35 of the spec.
+  auto v = ParseView(EditedSigma0("\"department/", "\"]department/"));
+  ASSERT_FALSE(v.ok());
+  const std::string& message = v.status().message();
+  EXPECT_TRUE(message.starts_with("view: query: ")) << message;
+  EXPECT_TRUE(message.ends_with("(line 35)")) << message;
+}
+
+TEST(ViewParserTest, CommentsInEmbeddedDtds) {
+  const std::string source =
+      "dtd s { // a } in a comment\n  s -> a* ; a -> #text ; }";
+  auto v = ParseView("view v {\n  source " + source +
+                     "\n  view dtd v { v -> w* ; // w } too\n w -> #text ; }"
+                     "\n  sigma { v.w = \"a\" ; }\n}");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  auto standalone = dtd::ParseDtd(source);
+  ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
+  EXPECT_EQ(DtdText(v.value().source_dtd()), DtdText(standalone.value()));
+  EXPECT_EQ(DtdText(v.value().view_dtd()),
+            "dtd v { v -> w* ; w -> #text ; }");
+}
+
+TEST(ViewParserTest, RandomizedCorruptionNeverCrashes) {
+  int accepted = 0;
+  for (const std::string& spec :
+       CorruptedSpecs(gen::kHospitalViewSpecText, 0x5161A0)) {
+    accepted += ParseView(spec).ok() ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kSpecCorruptions);
 }
 
 TEST(ViewDefTest, PositionInAnnotationRejected) {
